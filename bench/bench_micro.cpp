@@ -138,19 +138,17 @@ BENCHMARK(BM_SharingAnalysis)->Arg(1024)->Arg(16384);
 
 // Boundary-phase throughput: a barrier-heavy program where every epoch is a
 // handful of shared accesses, so nearly all host time is boundary rounds
-// (classify + sort + service).  This is the path the hoisted Item vector in
+// (sort + service).  This is the path the hoisted Item vector in
 // Machine::process_ops() optimizes -- the rebuilt/re-sorted scratch vector is
 // now a reused member, so no-retry rounds do zero allocation.  Measured on
 // the reference container (g++ 12, 1 core, median of 3 reps): reusing the
 // vector moved this benchmark from ~248k to ~277k rounds/s (~12%).
-// state.range(0) = boundary worker threads.
 void BM_BoundaryRounds(benchmark::State& state) {
   sim::SimConfig cfg;
   cfg.nodes = 8;
   cfg.cache.size_bytes = 4096;
   cfg.cache.assoc = 4;
   cfg.cache.block_bytes = 32;
-  cfg.boundary_threads = static_cast<std::uint32_t>(state.range(0));
   std::uint64_t rounds = 0;
   for (auto _ : state) {
     sim::Machine m(cfg);
@@ -167,7 +165,7 @@ void BM_BoundaryRounds(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(rounds));
 }
-BENCHMARK(BM_BoundaryRounds)->Arg(1)->Arg(2);
+BENCHMARK(BM_BoundaryRounds);
 
 // --- kern kernels: registered benches run at the ACTIVE dispatch level
 // (CICO_SIMD=scalar pins the reference), over an L1-resident working set.

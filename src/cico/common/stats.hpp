@@ -1,11 +1,9 @@
 // Per-node event counters.
 //
-// Counters are written on the hot path by the owning node's thread (cache
-// hits) and by the boundary-phase thread while all node threads are parked
-// (misses, protocol events), so no synchronization is required -- the
-// engine's windowed schedule guarantees exclusive access.  When the
-// boundary phase shards across worker threads, writes divert into the
-// caller's thread-local EffectLog instead and are replayed via apply().
+// Counters are written on the hot path by the owning node's fiber (cache
+// hits) and by the boundary phase while every fiber is parked (misses,
+// protocol events).  All of it runs on the one host thread that drives the
+// Machine, so no synchronization is required.
 #pragma once
 
 #include <array>
@@ -13,7 +11,6 @@
 #include <string_view>
 #include <vector>
 
-#include "cico/common/effect_log.hpp"
 #include "cico/common/types.hpp"
 
 namespace cico {
@@ -78,16 +75,7 @@ class Stats {
   explicit Stats(std::size_t nodes) : per_node_(nodes) {}
 
   void add(NodeId n, Stat s, std::uint64_t v = 1) {
-    if (EffectLog* lg = EffectLog::current(); lg != nullptr) {
-      lg->stat_adds.push_back({n, static_cast<std::uint32_t>(s), v});
-      return;
-    }
     per_node_[n][static_cast<std::size_t>(s)] += v;
-  }
-
-  /// Replays the diverted adds of one boundary item (coordinator only).
-  void apply(const EffectLog& lg) {
-    for (const auto& a : lg.stat_adds) per_node_[a.node][a.stat] += a.value;
   }
 
   [[nodiscard]] std::uint64_t node(NodeId n, Stat s) const {

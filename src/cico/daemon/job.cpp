@@ -33,7 +33,6 @@ sim::SimConfig sim_config(const JobConfig& jc) {
   cfg.nodes = jc.nodes;
   if (!jc.faults.empty()) cfg.faults = fault::FaultSpec::parse(jc.faults);
   cfg.audit_invariants = jc.paranoid;
-  cfg.boundary_threads = jc.boundary_threads;
   return cfg;
 }
 
@@ -325,8 +324,6 @@ obs::Json submit_frame(const JobRequest& req) {
   cfg.set("mode", Json::string(cachier::mode_name(req.cfg.mode)));
   cfg.set("faults", Json::string(req.cfg.faults));
   cfg.set("paranoid", Json::boolean(req.cfg.paranoid));
-  cfg.set("boundary_threads",
-          Json::number(static_cast<std::uint64_t>(req.cfg.boundary_threads)));
   cfg.set("report", Json::boolean(req.cfg.want_report));
   cfg.set("deadline_ms", Json::number(req.cfg.deadline_ms));
   f.set("config", std::move(cfg));
@@ -364,12 +361,8 @@ JobRequest parse_submit(const obs::Json& frame) {
     }
     req.cfg.faults = get_string(*cfg, "faults");
     req.cfg.paranoid = get_bool(*cfg, "paranoid", false);
-    const std::uint64_t bt = get_u64(*cfg, "boundary_threads", 1);
-    if (bt == 0 || bt > 256) {
-      throw std::runtime_error("config.boundary_threads out of range: " +
-                               std::to_string(bt));
-    }
-    req.cfg.boundary_threads = static_cast<std::uint32_t>(bt);
+    // Older clients still send config.boundary_threads; like any unknown
+    // key it is ignored.
     req.cfg.want_report = get_bool(*cfg, "report", false);
     req.cfg.deadline_ms = get_u64(*cfg, "deadline_ms", 0);
   }

@@ -33,7 +33,6 @@ struct JobConfig {
   cachier::Mode mode = cachier::Mode::Performance;
   std::string faults;        ///< FaultSpec text; empty = faults disabled
   bool paranoid = false;
-  std::uint32_t boundary_threads = 1;
   bool want_report = false;  ///< produce the --report JSON in JobResult
   /// Wall-clock budget for this job in milliseconds; 0 = server default.
   /// NOT part of the cache key: it bounds host time, not simulated state.
@@ -64,10 +63,9 @@ struct JobResult {
 [[nodiscard]] bool known_command(std::string_view cmd);
 
 /// Content-addressed cache key: a 128-bit hash over (command, name,
-/// source, trace, plan, deterministic config).  deadline_ms and
-/// boundary_threads are excluded -- the first bounds host time only, the
-/// second is guaranteed byte-identical by boundary_equiv_test, so cached
-/// results are shared across thread counts.
+/// source, trace, plan, deterministic config).  deadline_ms is excluded:
+/// it bounds host time only, so cached results are shared across
+/// deadlines.
 [[nodiscard]] std::string cache_key(const JobRequest& req);
 
 /// Executes the job in-process.  `cancel` (may be null) is polled at

@@ -13,7 +13,7 @@
 //   server -> hello_ok         (same shape)  |  error{code:"version_mismatch"}
 //   client -> submit           {type, command, name, source, trace?, plan?,
 //                               config{nodes, mode, faults, paranoid,
-//                                      boundary_threads, report, deadline_ms}}
+//                                      report, deadline_ms}}
 //   server -> status*          {type, state: queued|running|cached}
 //          -> retry_after      {type, ms, reason}        (shed: try again)
 //          -> diag*            {type, text}              (stderr stream)

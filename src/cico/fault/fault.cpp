@@ -164,8 +164,8 @@ double FaultInjector::keyed_uniform(std::uint64_t salt, std::uint64_t a,
                                     std::uint64_t b, std::uint64_t c,
                                     std::uint64_t d, std::uint64_t e) const {
   // Chained SplitMix64 finalizer over the message identity: stateless, so
-  // the verdict for a given message is the same no matter which thread
-  // draws it or in what order (the keyed-mode determinism argument).
+  // the verdict for a given message is the same no matter in what order it
+  // is drawn (the keyed-mode determinism argument).
   constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
   auto mix = [](std::uint64_t z) {
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -192,21 +192,20 @@ FaultInjector::Fate FaultInjector::fate_at(net::MsgType t, bool droppable,
     const double p = spec_.drop_prob(t);
     if (p > 0.0 && keyed_uniform(0, ti, from, to, now, tag) < p) {
       f.dropped = true;
-      drops_.fetch_add(1, std::memory_order_relaxed);
-      drops_by_[static_cast<std::size_t>(t)].fetch_add(
-          1, std::memory_order_relaxed);
+      ++drops_;
+      ++drops_by_[static_cast<std::size_t>(t)];
       return f;  // a dropped message is neither duplicated nor delayed
     }
   }
   const double dp = spec_.dup_prob(t);
   if (dp > 0.0 && keyed_uniform(2 + leg, ti, from, to, now, tag) < dp) {
     f.duplicated = true;
-    dups_.fetch_add(1, std::memory_order_relaxed);
+    ++dups_;
   }
   const RateSpec dl = spec_.delay_rate(t);
   if (dl.prob > 0.0 && keyed_uniform(4 + leg, ti, from, to, now, tag) < dl.prob) {
     f.delay = dl.cycles;
-    delays_.fetch_add(1, std::memory_order_relaxed);
+    ++delays_;
   }
   return f;
 }
@@ -215,7 +214,7 @@ Cycle FaultInjector::handler_stall_at(Block b, NodeId req, Cycle now) {
   if (!keyed_) return handler_stall();
   if (spec_.stall.prob <= 0.0) return 0;
   if (keyed_uniform(7, b, req, now, 0, 0) >= spec_.stall.prob) return 0;
-  stalls_.fetch_add(1, std::memory_order_relaxed);
+  ++stalls_;
   return spec_.stall.cycles;
 }
 

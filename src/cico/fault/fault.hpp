@@ -29,7 +29,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -100,13 +99,11 @@ struct FaultSpec {
 /// order.  Reproducible because every network/protocol interaction happens
 /// in the single-threaded boundary phase.
 ///
-/// Keyed (set_keyed(true), used by the sharded boundary phase): every
-/// verdict is a stateless hash of (seed, message identity: type, leg,
-/// endpoints, send time, block tag), so the draw is independent of the
-/// order -- and the thread -- in which messages are serviced.  Retries are
-/// re-keyed by their later send time, so drop=1.0 still exhausts budgets.
-/// Telemetry counters are relaxed atomics so shard workers may draw
-/// concurrently; totals stay exact because the set of draws is identical.
+/// Keyed (set_keyed(true), used by sim::Machine): every verdict is a
+/// stateless hash of (seed, message identity: type, leg, endpoints, send
+/// time, block tag), so the draw is independent of the order in which
+/// messages are serviced.  Retries are re-keyed by their later send time,
+/// so drop=1.0 still exhausts budgets.
 class FaultInjector {
  public:
   explicit FaultInjector(const FaultSpec& spec)
@@ -140,25 +137,16 @@ class FaultInjector {
   [[nodiscard]] Cycle handler_stall_at(Block b, NodeId req, Cycle now);
 
   // --- telemetry (for soak reports) ---------------------------------------
-  [[nodiscard]] std::uint64_t drops() const {
-    return drops_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t dups() const {
-    return dups_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t delays() const {
-    return delays_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t stalls() const {
-    return stalls_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t drops() const { return drops_; }
+  [[nodiscard]] std::uint64_t dups() const { return dups_; }
+  [[nodiscard]] std::uint64_t delays() const { return delays_; }
+  [[nodiscard]] std::uint64_t stalls() const { return stalls_; }
   [[nodiscard]] std::uint64_t drops_of(net::MsgType t) const {
-    return drops_by_[static_cast<std::size_t>(t)].load(
-        std::memory_order_relaxed);
+    return drops_by_[static_cast<std::size_t>(t)];
   }
 
  private:
-  /// Uniform in [0,1) from the message identity (stateless, thread-safe).
+  /// Uniform in [0,1) from the message identity (stateless).
   [[nodiscard]] double keyed_uniform(std::uint64_t salt, std::uint64_t a,
                                      std::uint64_t b, std::uint64_t c,
                                      std::uint64_t d, std::uint64_t e) const;
@@ -166,11 +154,11 @@ class FaultInjector {
   FaultSpec spec_;
   Rng rng_;
   bool keyed_ = false;
-  std::atomic<std::uint64_t> drops_{0};
-  std::atomic<std::uint64_t> dups_{0};
-  std::atomic<std::uint64_t> delays_{0};
-  std::atomic<std::uint64_t> stalls_{0};
-  std::array<std::atomic<std::uint64_t>, net::kMsgTypeCount> drops_by_{};
+  std::uint64_t drops_ = 0;
+  std::uint64_t dups_ = 0;
+  std::uint64_t delays_ = 0;
+  std::uint64_t stalls_ = 0;
+  std::array<std::uint64_t, net::kMsgTypeCount> drops_by_{};
 };
 
 }  // namespace cico::fault

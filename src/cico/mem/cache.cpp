@@ -70,14 +70,6 @@ std::optional<Cache::Eviction> Cache::insert(Block b, LineState s) {
   return victim;
 }
 
-std::optional<Cache::Eviction> Cache::peek_victim(Block b) const {
-  const std::size_t fill = fill_[geo_.set_of(b)];
-  if (way_of(b, fill) < fill) return std::nullopt;  // hit path: no eviction
-  if (fill < geo_.assoc) return std::nullopt;
-  const std::size_t base = row(b);
-  return Eviction{tags_[base + fill - 1], states_[base + fill - 1]};
-}
-
 bool Cache::set_state(Block b, LineState s) {
   const std::size_t fill = fill_[geo_.set_of(b)];
   const std::size_t i = way_of(b, fill);

@@ -43,11 +43,6 @@ class Cache {
   /// updates its state and LRU position.
   std::optional<Eviction> insert(Block b, LineState s);
 
-  /// The victim insert(b, ...) would evict right now, without touching the
-  /// cache (used by the sharded boundary phase to claim eviction targets
-  /// before dispatching an item to a worker).
-  [[nodiscard]] std::optional<Eviction> peek_victim(Block b) const;
-
   /// Changes the state of a present block (upgrade/downgrade).
   /// Returns false if the block is not present.
   bool set_state(Block b, LineState s);

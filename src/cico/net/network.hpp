@@ -17,18 +17,12 @@
 #include <string_view>
 
 #include "cico/common/cost.hpp"
-#include "cico/common/effect_log.hpp"
 #include "cico/common/stats.hpp"
 #include "cico/common/types.hpp"
 #include "cico/fault/fault.hpp"
 #include "cico/net/msg.hpp"
 
 namespace cico::net {
-
-// EffectLog buckets per-type counts by raw index; keep the taxonomy inside
-// its fixed-size table.
-static_assert(kMsgTypeCount <= EffectLog::kMsgSlots,
-              "grow EffectLog::kMsgSlots alongside MsgType");
 
 /// Uniform-latency interconnect with per-type message accounting.
 class Network {
@@ -88,18 +82,7 @@ class Network {
   /// traffic whose latency is off the critical path, e.g. eviction hints).
   void count(NodeId from, MsgType t) {
     stats_->add(from, Stat::Messages);
-    if (EffectLog* lg = EffectLog::current(); lg != nullptr) {
-      lg->msg_types[static_cast<std::size_t>(t)] += 1;
-      return;
-    }
     by_type_[static_cast<std::size_t>(t)] += 1;
-  }
-
-  /// Replays the diverted per-type counts of one boundary item.
-  void apply(const EffectLog& lg) {
-    for (std::size_t i = 0; i < kMsgTypeCount; ++i) {
-      by_type_[i] += lg.msg_types[i];
-    }
   }
 
   [[nodiscard]] std::uint64_t sent(MsgType t) const {

@@ -11,14 +11,11 @@
 //     barrier waits and epoch spans -- which feed the Chrome trace-event
 //     (Perfetto-loadable) export.
 //
-// Determinism across --boundary-threads: event callbacks that originate
-// inside the sharded boundary phase are diverted into the per-item
-// EffectLog and replayed by the coordinator in canonical (time, node, seq)
-// order, exactly like stat counters and trace misses; epoch flushes happen
-// on the coordinator at barriers, after every replay.  The collector
-// therefore observes one schedule-independent event stream, and everything
-// derived from it (the JSON report, the event export) is byte-identical
-// for any boundary thread count.
+// Determinism: every callback fires from the machine's boundary phase, in
+// its canonical (time, node, seq) service order, and epoch flushes happen
+// at barriers.  The collector therefore observes one schedule-independent
+// event stream, and everything derived from it (the JSON report, the
+// event export) is byte-identical run to run.
 #pragma once
 
 #include <cstdint>
@@ -66,9 +63,8 @@ class Collector {
 
   /// Streaming mode: forward every flushed EpochRow to `sink` instead of
   /// buffering it (epochs() then stays empty; rows_flushed() still counts).
-  /// Rows flush on the coordinator in canonical order, so the streamed
-  /// sequence is byte-identical to the buffered one for any
-  /// --boundary-threads value.  The sink must outlive the run.
+  /// Rows flush at barriers in canonical order, so the streamed sequence
+  /// is byte-identical to the buffered one.  The sink must outlive the run.
   void set_epoch_sink(EpochRowSink* sink) { sink_ = sink; }
   [[nodiscard]] bool streaming() const { return sink_ != nullptr; }
   /// Total rows produced (buffered or streamed).

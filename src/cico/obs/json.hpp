@@ -1,7 +1,7 @@
 // Minimal deterministic JSON document model for the observability layer.
 //
-// The run report must be byte-identical across host configurations (the
-// report_test diffs it across --boundary-threads values), so this writer
+// The run report must be byte-identical across runs and hosts (report_test
+// and the CI report gate compare its bytes), so this writer
 // makes every formatting decision explicit: object keys keep insertion
 // order, numbers keep their exact source lexeme, and dump() emits one
 // canonical layout.  parse() keeps numeric lexemes verbatim, so

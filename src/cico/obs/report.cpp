@@ -85,8 +85,7 @@ Json config_json(const sim::SimConfig& cfg, std::string_view protocol_name,
   cost.set("prefetch_min_gap",
            Json::number(static_cast<std::uint64_t>(cfg.cost.prefetch_min_gap)));
   c.set("cost", std::move(cost));
-  // Host-tuning knobs (boundary_threads, boundary_batch_min) and host
-  // wall-clock are intentionally absent: a report must not depend on them.
+  // Host wall-clock is intentionally absent: a report must not depend on it.
   return c;
 }
 

@@ -9,9 +9,9 @@
 // and annotated runs.
 //
 // Everything in a report is a pure function of simulated state, so the
-// bytes are identical for any --boundary-threads value (report_test
-// enforces this).  Host-dependent quantities (wall-clock, worker counts)
-// are deliberately excluded; they stay on stderr.
+// bytes are identical run to run (report_test enforces this).
+// Host-dependent quantities (wall-clock) are deliberately excluded; they
+// stay on stderr.
 #pragma once
 
 #include <string_view>

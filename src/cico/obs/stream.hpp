@@ -9,8 +9,7 @@
 // would go and Json::dump's SpliceResolver copies the sidecar bytes
 // through in bounded chunks -- so the final report file is byte-identical
 // to the in-memory path while host memory stays O(1) in epoch count
-// (report_test enforces the byte identity, including across
-// --boundary-threads).
+// (report_test enforces the byte identity).
 #pragma once
 
 #include <cstddef>

@@ -68,34 +68,6 @@ Cycle Dir1SW::handler_stall(Block b, NodeId req, Cycle at) {
   return f == nullptr ? 0 : f->handler_stall_at(b, req, at);
 }
 
-PathClass Dir1SW::classify_get(NodeId req, Block b, bool exclusive,
-                               Touched& t) const {
-  const DirEntry* e = entry(b);
-  if (e == nullptr || e->state == DirState::Idle) return PathClass::Confined;
-  if (e->state == DirState::Shared) {
-    if (!exclusive) return PathClass::Confined;  // counter bump
-    const bool sole = e->sharers.size() == 1 && e->has_sharer(req);
-    if (sole) return PathClass::Confined;  // hardware upgrade
-    // Invalidation trap: touches exactly the non-requester sharers' caches.
-    for (NodeId s : e->sharers) {
-      if (s == req) continue;
-      if (!t.add(s)) return PathClass::Cross;  // sharer list overflow
-    }
-    return PathClass::Confined;
-  }
-  if (e->owner == req) return PathClass::Confined;  // idempotent reply
-  // Recall trap: downgrades/invalidates exactly the owner's cache.
-  t.add(e->owner);
-  return PathClass::Confined;
-}
-
-PathClass Dir1SW::classify_post_store(NodeId req, Block b) const {
-  const DirEntry* e = entry(b);
-  const bool is_owner =
-      e != nullptr && e->state == DirState::Exclusive && e->owner == req;
-  return is_owner ? PathClass::Cross : PathClass::Confined;  // owner: pushes
-}
-
 std::pair<Cycle, std::uint32_t> Dir1SW::invalidate_sharers(DirEntry& e, Block b,
                                                            NodeId home,
                                                            NodeId keep) {

@@ -61,7 +61,7 @@ struct DirEntry {
 
 /// Interface through which the software handler manipulates remote caches.
 /// Implemented by the simulator (safe: the handler only runs in the
-/// boundary phase while all node threads are parked) and by test fakes.
+/// boundary phase while every node fiber is parked) and by test fakes.
 class CacheControl {
  public:
   virtual ~CacheControl() = default;
@@ -95,24 +95,6 @@ class Dir1SW final : public Protocol {
   [[nodiscard]] NodeId home_of(Block b) const override {
     return static_cast<NodeId>(b % nodes_);
   }
-
-  /// Directory state lives in per-home slices; Confined transactions on
-  /// blocks with distinct homes may be serviced concurrently.
-  [[nodiscard]] bool shardable() const override { return true; }
-
-  /// Hardware paths (fill, counter bump, sole-sharer upgrade, owner
-  /// re-reference) are confined to the home slice + requester.  Software
-  /// traps with a bounded footprint -- recalls (one owner cache) and
-  /// invalidations (the sharer list, when it fits Touched) -- are Confined
-  /// too, with their targets reported in `t`.  Only unbounded sharer lists
-  /// remain Cross.
-  [[nodiscard]] PathClass classify_get(NodeId req, Block b, bool exclusive,
-                                       Touched& t) const override;
-
-  /// Post-stores by a non-owner nack in hardware (Confined); an owner's
-  /// post-store pushes copies into other nodes' caches (Cross).
-  [[nodiscard]] PathClass classify_post_store(NodeId req,
-                                              Block b) const override;
 
   /// Read request (shared copy).  With prefetch=true the request is
   /// non-binding and is nacked instead of trapping.
@@ -151,9 +133,7 @@ class Dir1SW final : public Protocol {
   [[nodiscard]] std::string check_invariants() const override;
 
   /// Memoized audit: rechecks only the blocks ent() marked dirty since the
-  /// last clean incremental audit, then clears the memo.  The per-slice
-  /// dirty sets are written only by the shard worker owning the slice, so
-  /// marking is race-free under the sharded boundary phase.
+  /// last clean incremental audit, then clears the memo.
   [[nodiscard]] std::string check_invariants_incremental() override;
 
   [[nodiscard]] const char* name() const override { return "dir1sw"; }
@@ -184,12 +164,11 @@ class Dir1SW final : public Protocol {
   net::Network* net_;
   Stats* stats_;
   CacheControl* caches_;
-  /// Directory storage, partitioned by home node (slices_[home_of(b)]).
-  /// A shard worker touches only the slices whose homes it owns, so
-  /// Confined transactions never race on a map.
+  /// Directory storage, partitioned by home node (slices_[home_of(b)]);
+  /// audits walk it home by home, which fixes their diagnostic order.
   std::vector<std::unordered_map<Block, DirEntry>> slices_;
   /// Blocks touched through ent() since the last clean incremental audit,
-  /// partitioned like slices_ (same single-writer-per-slice discipline).
+  /// partitioned like slices_.
   std::vector<kern::BlockSet> dirty_;
 };
 

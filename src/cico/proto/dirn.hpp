@@ -30,8 +30,6 @@ class DirNFullMap final : public Protocol {
   [[nodiscard]] NodeId home_of(Block b) const override {
     return static_cast<NodeId>(b % nodes_);
   }
-  // Not shardable: keeps the Protocol defaults (every transaction Cross),
-  // so the machine always services this directory serially.
 
   ServiceResult get_shared(NodeId req, Block b, Cycle now,
                            bool prefetch) override;

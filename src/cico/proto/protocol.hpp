@@ -7,7 +7,6 @@
 // full-map directory baseline in the DASH/Alewife tradition.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 
@@ -18,34 +17,6 @@ namespace cico::proto {
 
 class CacheControl;   // dir1sw.hpp
 struct ServiceResult; // dir1sw.hpp
-
-/// Whether a transaction would stay confined to the block's home-node
-/// directory slice, the requester's own cache, and the bounded set of
-/// remote caches reported in `Touched` -- or cross into state the sharded
-/// boundary phase cannot claim (unbounded fan-out, push evictions, lock
-/// tables).  Confined transactions may run on worker threads once every
-/// touched cache is claimed for the batch; Cross ones take the serial
-/// handoff path.
-enum class PathClass : std::uint8_t { Confined, Cross };
-
-/// Out-parameter of classify_get: the remote caches (beyond the
-/// requester's own) the transaction's handler would mutate -- recall
-/// targets, invalidation victims.  A handler touching more than the
-/// inline capacity overflows and must be classified Cross.
-struct Touched {
-  std::array<NodeId, 4> node{};
-  std::uint8_t count = 0;
-  bool overflow = false;
-
-  bool add(NodeId n) {
-    if (count == node.size()) {
-      overflow = true;
-      return false;
-    }
-    node[count++] = n;
-    return true;
-  }
-};
 
 class Protocol {
  public:
@@ -61,26 +32,6 @@ class Protocol {
 
   /// Home node of a block (directory slices are block-interleaved).
   [[nodiscard]] virtual NodeId home_of(Block b) const = 0;
-
-  /// True when directory state is partitioned by home node so that
-  /// Confined transactions on blocks with distinct homes may be serviced
-  /// concurrently.  Protocols returning false always run serially.
-  [[nodiscard]] virtual bool shardable() const { return false; }
-
-  /// Classifies the get_shared/get_exclusive a requester is about to issue
-  /// against the CURRENT directory state, reporting the remote caches its
-  /// handler would touch.  Conservative default: Cross.
-  [[nodiscard]] virtual PathClass classify_get(NodeId /*req*/, Block /*b*/,
-                                               bool /*exclusive*/,
-                                               Touched& /*t*/) const {
-    return PathClass::Cross;
-  }
-
-  /// Classifies a pending post_store the same way.
-  [[nodiscard]] virtual PathClass classify_post_store(NodeId /*req*/,
-                                                      Block /*b*/) const {
-    return PathClass::Cross;
-  }
 
   /// Consistency self-check (empty string == consistent).
   [[nodiscard]] virtual std::string check_invariants() const = 0;

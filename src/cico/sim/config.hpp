@@ -52,19 +52,6 @@ struct SimConfig {
   /// boundary rounds with zero virtual-time progress (0 disables it --
   /// a 100% drop rate then livelocks, so leave it on).
   std::uint32_t watchdog_rounds = 32;
-
-  /// Host worker threads for the boundary phase (--boundary-threads).
-  /// Directory service is sharded by home node and merged through ordered
-  /// effect logs, so results are byte-identical for any value; 1 (the
-  /// default) runs the original inline loop.  Only protocols reporting
-  /// shardable() parallelize; others fall back to 1.
-  std::uint32_t boundary_threads = 1;
-
-  /// Smallest batch worth dispatching to the worker pool; smaller batches
-  /// run inline on the coordinator (identical results either way -- this
-  /// only tunes fork/join amortization).  Tests lower it to exercise the
-  /// parallel merge path on small workloads.
-  std::uint32_t boundary_batch_min = 4;
 };
 
 }  // namespace cico::sim

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 namespace cico::sim {
@@ -13,7 +11,7 @@ using mem::LineState;
 
 // ---------------------------------------------------------------------------
 // CacheCtl: the software protocol handler's window into remote caches.
-// Only invoked during the boundary phase, when every node thread is parked.
+// Only invoked during the boundary phase, when every node fiber is parked.
 // ---------------------------------------------------------------------------
 
 LineState Machine::CacheCtl::peek(NodeId n, Block b) const {
@@ -60,26 +58,14 @@ Machine::Machine(SimConfig cfg)
   if (cfg_.faults.injects()) {
     injector_ = std::make_unique<fault::FaultInjector>(cfg_.faults);
     // Keyed draws make every fault a function of the message's identity
-    // rather than of service order, so boundary_threads=1 and =N inject
-    // the exact same faults (the cross-thread equivalence guarantee).
+    // rather than of service order (and keep the fault stream of a seed
+    // fixed since keyed mode was introduced).
     injector_->set_keyed(true);
     net_.set_fault_injector(injector_.get());
   }
-  if (cfg_.boundary_threads > 1 && dir_->shardable()) {
-    pool_ = std::make_unique<BoundaryPool>(cfg_.boundary_threads);
-    shard_items_.resize(cfg_.boundary_threads);
-    node_mut_.assign(cfg_.nodes, 0);
-  }
-  lock_slices_.resize(cfg_.nodes);
   ctxs_.reserve(cfg_.nodes);
   for (std::uint32_t i = 0; i < cfg_.nodes; ++i) {
     ctxs_.push_back(std::make_unique<NodeCtx>(cfg_.cache));
-  }
-}
-
-Machine::~Machine() {
-  for (auto& c : ctxs_) {
-    if (c->thread.joinable()) c->thread.join();
   }
 }
 
@@ -95,28 +81,19 @@ void Machine::run(const std::function<void(Proc&)>& body) {
   const auto host_start = std::chrono::steady_clock::now();
 
   // Epoch 0 begins at time zero: apply its planned start directives before
-  // any node executes (single-threaded, so directory access is safe).
+  // any node executes.
   for (NodeId n = 0; n < cfg_.nodes; ++n) apply_epoch_start(n, 0);
 
   window_end_ = cfg_.quantum;
-  active_ = cfg_.nodes;
-
   for (NodeId n = 0; n < cfg_.nodes; ++n) {
-    ctxs_[n]->thread = std::thread([this, &body, n] {
-      Proc p(this, n);
-      try {
-        body(p);
-      } catch (...) {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (!first_error_) first_error_ = std::current_exception();
-      }
-      std::unique_lock<std::mutex> lk(mu_);
-      ctxs_[n]->wait = NodeCtx::Wait::Done;
-      if (--active_ == 0 && !aborted_) boundary();
-    });
+    ctxs_[n]->fiber =
+        std::make_unique<Fiber>([this, &body, n] { node_main(body, n); });
+    ctxs_[n]->resumable = true;
   }
-
-  for (auto& c : ctxs_) c->thread.join();
+  schedule();
+  // Every fiber has finished: release the stacks now rather than with the
+  // Machine, so a finished run holds no stack memory.
+  for (auto& c : ctxs_) c->fiber.reset();
 
   host_total_sec_ =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -131,14 +108,64 @@ void Machine::run(const std::function<void(Proc&)>& body) {
   }
 
   // The abort cause carries the precise type (SimDeadlock, ProtocolTimeout,
-  // InvariantViolation); node threads unwound with a generic SimDeadlock
+  // InvariantViolation); node fibers unwound with a generic SimDeadlock
   // recorded in first_error_, so rethrow the cause preferentially.
   if (abort_error_) std::rethrow_exception(abort_error_);
   if (first_error_) std::rethrow_exception(first_error_);
 }
 
 // ---------------------------------------------------------------------------
-// Node-thread side (fast path -- no locking except in park())
+// Scheduler
+// ---------------------------------------------------------------------------
+
+void Machine::node_main(const std::function<void(Proc&)>& body, NodeId n) {
+  Proc p(this, n);
+  try {
+    body(p);
+  } catch (...) {
+    if (!first_error_) first_error_ = std::current_exception();
+  }
+  ctxs_[n]->wait = NodeCtx::Wait::Done;
+}
+
+void Machine::schedule() {
+  bool runnable = true;
+  while (runnable && !aborted_) {
+    // Window phase: each runnable fiber runs until it parks or finishes,
+    // so afterwards every node is parked or done.
+    for (auto& c : ctxs_) {
+      if (!c->resumable) continue;
+      c->resumable = false;
+      c->fiber->resume();
+    }
+    try {
+      boundary();
+    } catch (...) {
+      // A failing epoch-stream sink, or memory exhaustion: abort like any
+      // other cause so the parked fibers still unwind below.
+      abort_run(std::current_exception(), "boundary phase failed");
+    }
+    runnable = false;
+    for (auto& c : ctxs_) runnable = runnable || c->resumable;
+  }
+  if (!aborted_) {
+    bool all_done = true;
+    for (auto& c : ctxs_) all_done = all_done && c->wait == NodeCtx::Wait::Done;
+    if (all_done) return;
+    // No node can resume yet some are not done (quantum == 0): without
+    // this the parked fibers would never unwind.
+    const std::string msg = "scheduler stalled: " + wait_dump();
+    abort_run(std::make_exception_ptr(SimDeadlock(msg)), msg);
+  }
+  // Resume every parked fiber once: park() sees aborted_ and throws, so
+  // each body unwinds on its own stack before the stacks are released.
+  for (auto& c : ctxs_) {
+    if (!c->fiber->finished()) c->fiber->resume();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Node-fiber side (fast path -- switches only in park())
 // ---------------------------------------------------------------------------
 
 void Machine::maybe_window_park(NodeCtx& c) {
@@ -146,18 +173,13 @@ void Machine::maybe_window_park(NodeCtx& c) {
 }
 
 void Machine::park(NodeCtx& c, NodeCtx::Wait w) {
-  std::unique_lock<std::mutex> lk(mu_);
-  c.wait = w;
-  if (--active_ == 0 && !aborted_) boundary();
-  cv_.wait(lk, [&] { return c.resumable || aborted_; });
-  if (aborted_) {
-    ++active_;
-    throw SimDeadlock(abort_msg_);
+  if (!aborted_) {
+    c.wait = w;
+    c.fiber->yield();
   }
-  // active_ was already re-credited by the boundary when it marked this
-  // node resumable; counting at mark time (not wake time) ensures the next
-  // boundary cannot run until every resumed node has executed its window.
-  c.resumable = false;
+  // Resumed either by the scheduler (the boundary made this node
+  // resumable) or by the abort unwind.
+  if (aborted_) throw SimDeadlock(abort_msg_);
   c.wait = NodeCtx::Wait::Running;
 }
 
@@ -342,9 +364,9 @@ void Machine::prefetch_inline(NodeCtx& c, NodeId n, bool exclusive, Addr a,
 }
 
 // ---------------------------------------------------------------------------
-// Boundary phase.  mu_ is held; every node thread is parked, so caches and
-// the directory may be manipulated freely.  All operations are serviced in
-// (virtual time, node, issue order) -- fully deterministic.
+// Boundary phase.  Runs on the scheduler while every node fiber is parked,
+// so caches and the directory may be manipulated freely.  All operations
+// are serviced in (virtual time, node, issue order) -- fully deterministic.
 // ---------------------------------------------------------------------------
 
 std::string Machine::wait_dump() const {
@@ -396,7 +418,6 @@ void Machine::boundary() {
     if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) {
       const std::string msg = "run cancelled (deadline or client gone)";
       abort_run(std::make_exception_ptr(SimCancelled(msg)), msg);
-      cv_.notify_all();
       return;
     }
     // Rounds are a pure function of simulated state, so the counter is
@@ -404,10 +425,7 @@ void Machine::boundary() {
     stats_.add(0, Stat::BoundaryRounds);
     process_ops();
     try_complete_barrier();
-    if (aborted_) {
-      cv_.notify_all();
-      return;
-    }
+    if (aborted_) return;
 
     std::uint32_t done = 0;
     for (auto& c : ctxs_) {
@@ -415,7 +433,6 @@ void Machine::boundary() {
     }
     if (done == cfg_.nodes) {
       if (cfg_.audit_invariants) audit_now("end of run", /*full=*/true);
-      cv_.notify_all();
       return;
     }
 
@@ -429,7 +446,6 @@ void Machine::boundary() {
     }
     if (any_ready) {
       resume_window(min_now);
-      cv_.notify_all();
       return;
     }
 
@@ -450,7 +466,6 @@ void Machine::boundary() {
              << cfg_.watchdog_rounds << " boundary rounds (min t=" << live_min
              << "): " << wait_dump();
           abort_run(std::make_exception_ptr(SimDeadlock(os.str())), os.str());
-          cv_.notify_all();
           return;
         }
       } else {
@@ -464,7 +479,6 @@ void Machine::boundary() {
     std::ostringstream os;
     os << "simulated program deadlocked: " << wait_dump();
     abort_run(std::make_exception_ptr(SimDeadlock(os.str())), os.str());
-    cv_.notify_all();
     return;
   }
 }
@@ -472,18 +486,13 @@ void Machine::boundary() {
 void Machine::resume_window(Cycle min_now) {
   window_end_ = min_now + cfg_.quantum;
   for (auto& c : ctxs_) {
-    if (c->wait == NodeCtx::Wait::Ready && c->now < window_end_ &&
-        !c->resumable) {
+    if (c->wait == NodeCtx::Wait::Ready && c->now < window_end_) {
       c->resumable = true;
-      ++active_;  // credited here so a fast waker cannot re-trigger the
-                  // boundary before this node has run (determinism)
     }
   }
 }
 
 void Machine::process_ops() {
-  // items_ is a member so the steady-state round (the common no-retry case)
-  // rebuilds the list without reallocating.
   items_.clear();
   for (NodeId n = 0; n < cfg_.nodes; ++n) {
     NodeCtx& c = *ctxs_[n];
@@ -502,14 +511,9 @@ void Machine::process_ops() {
     return a.seq < b.seq;
   });
 
-  if (pool_ == nullptr) {
-    for (const Item& it : items_) {
-      if (aborted_) return;
-      execute_item(it);
-    }
-  } else {
-    process_ops_sharded();
+  for (const Item& it : items_) {
     if (aborted_) return;
+    execute_item(it);
   }
   for (auto& c : ctxs_) {
     c->async.clear();
@@ -536,8 +540,6 @@ void Machine::execute_item(const Item& it) {
         break;
     }
     if (!pending_push_evicts_.empty()) {
-      // Only Cross-path service queues push evictions, and Cross items run
-      // serially, so this drain never executes on a shard worker.
       for (auto& [vn, victim] : pending_push_evicts_) {
         reliable_put(vn, victim.block, victim.state == LineState::Exclusive,
                      it.time, false);
@@ -561,282 +563,10 @@ void Machine::execute_item(const Item& it) {
   }
 }
 
-Machine::ItemClass Machine::classify_item(const Item& it) const {
-  ItemClass k;
-  const NodeCtx& c = *ctxs_[it.node];
-  if (it.async_idx >= 0) {
-    const AsyncOp& op = c.async[static_cast<std::size_t>(it.async_idx)];
-    switch (op.kind) {
-      case AsyncOp::Kind::Put:
-        // The line left the cache when the op was issued, so the service
-        // touches only the block's home-slice directory entry.
-        k.serial = false;
-        k.has_block = true;
-        k.block = op.block;
-        break;
-      case AsyncOp::Kind::PostStore:
-        // The update path downgrades third-party caches (Cross); the nack
-        // path touches only the home entry (Confined).
-        if (dir_->classify_post_store(it.node, op.block) ==
-            proto::PathClass::Confined) {
-          k.serial = false;
-          k.has_block = true;
-          k.block = op.block;
-        }
-        break;
-      case AsyncOp::Kind::Prefetch:
-        // Contended blocks nack prefetches instead of trapping, so the
-        // directory side is always home-confined; the fill may evict, so
-        // the predicted victim is claimed too -- and its put must land on
-        // the same home shard.
-        k.serial = false;
-        k.cache_mut = true;
-        k.has_block = true;
-        k.block = op.block;
-        if (auto v = c.cache.peek_victim(op.block); v.has_value()) {
-          k.has_victim = true;
-          k.victim = v->block;
-          if (dir_->home_of(v->block) != dir_->home_of(op.block)) {
-            k.serial = true;
-          }
-        }
-        break;
-      case AsyncOp::Kind::Unlock: {
-        // The release touches one lock-table slice plus, when the queue is
-        // non-empty, the context of the waiter it wakes; claiming the slot
-        // and that node makes it batchable.  The queue seen here is the
-        // queue at execution: any open-batch item on the same lock would
-        // have conflict-flushed before this item was admitted.
-        k.serial = false;
-        k.has_lock = true;
-        k.lock_addr = op.lock_addr;
-        k.home = lock_home(op.lock_addr);
-        const auto& slice = lock_slices_[k.home];
-        if (auto lit = slice.find(op.lock_addr);
-            lit != slice.end() && !lit->second.queue.empty()) {
-          const auto& q = lit->second.queue;
-          auto w = std::min_element(q.begin(), q.end(),
-                                    [](const LockState::Waiter& x,
-                                       const LockState::Waiter& y) {
-                                      if (x.time != y.time)
-                                        return x.time < y.time;
-                                      return x.node < y.node;
-                                    });
-          k.remote.add(w->node);  // release_lock will wake exactly this node
-        }
-        break;
-      }
-    }
-  } else {
-    switch (c.wait) {
-      case NodeCtx::Wait::Mem: {
-        const Block b = cfg_.cache.block_of(c.op_addr);
-        const LineState ls = c.cache.state_of(b);
-        const bool write = c.op_write;
-        if (ls == LineState::Exclusive ||
-            (!write && ls != LineState::Invalid)) {
-          // Satisfied locally (e.g. by an earlier prefetch fill): touches
-          // only this node's cache and prefetch bookkeeping.
-          k.serial = false;
-          k.cache_mut = true;
-          k.has_block = true;
-          k.block = b;
-          break;
-        }
-        bool fetch_excl = write;
-        if (!write && plan_ != nullptr) {
-          const NodeEpochDirectives* ned = plan_->find(it.node, c.epoch);
-          if (ned != nullptr && ned->fetch_exclusive.contains(b)) {
-            fetch_excl = true;
-          }
-        }
-        if (dir_->classify_get(it.node, b, fetch_excl, k.remote) !=
-            proto::PathClass::Confined) {
-          break;  // unbounded handler footprint: serial
-        }
-        k.serial = false;
-        k.cache_mut = true;
-        k.has_block = true;
-        k.block = b;
-        if (auto v = c.cache.peek_victim(b); v.has_value()) {
-          k.has_victim = true;
-          k.victim = v->block;
-          if (dir_->home_of(v->block) != dir_->home_of(b)) k.serial = true;
-        }
-        break;
-      }
-      case NodeCtx::Wait::Lock:
-        // Grant-or-queue touches one lock-table slice and this node's own
-        // context; claiming both makes it batchable.  Whether it grants or
-        // queues is decided by slice state that cannot change between
-        // classification and execution (same conflict-flush argument as
-        // Unlock above).
-        k.serial = false;
-        k.cache_mut = true;
-        k.has_lock = true;
-        k.lock_addr = c.op_addr;
-        k.home = lock_home(c.op_addr);
-        break;
-      case NodeCtx::Wait::Directive:
-        break;  // multi-block check-out ranges: serial
-      default:
-        k.skip = true;  // already handled (e.g. lock granted this round)
-        break;
-    }
-  }
-  if (!k.serial && k.has_block) k.home = dir_->home_of(k.block);
-  return k;
-}
-
-void Machine::process_ops_sharded() {
-  claimed_.clear();
-  lock_claimed_.clear();
-  batch_.clear();
-  for (auto& s : shard_items_) s.clear();
-  std::fill(node_mut_.begin(), node_mut_.end(), 0);
-
-  const std::uint32_t W = pool_->workers();
-  for (std::size_t i = 0; i < items_.size(); ++i) {
-    if (aborted_) return;
-    for (;;) {
-      const ItemClass k = classify_item(items_[i]);
-      if (k.skip) break;
-      if (k.serial) {
-        flush_batch();
-        if (aborted_) return;
-        execute_item(items_[i]);
-        break;
-      }
-      bool conflict =
-          (k.has_block && (claimed_.contains(k.block) ||
-                           (k.has_victim && claimed_.contains(k.victim)))) ||
-          (k.has_lock && lock_claimed_.contains(k.lock_addr)) ||
-          (k.cache_mut && node_mut_[items_[i].node] != 0);
-      for (std::uint8_t r = 0; r < k.remote.count && !conflict; ++r) {
-        conflict = node_mut_[k.remote.node[r]] != 0;
-      }
-      if (conflict && !batch_.empty()) {
-        // Drain the batch and re-classify: the conflicting state may have
-        // changed.  At most one extra pass -- the batch is empty after.
-        flush_batch();
-        if (aborted_) return;
-        continue;
-      }
-      if (k.has_block) {
-        claimed_.insert(k.block);
-        if (k.has_victim) claimed_.insert(k.victim);
-      }
-      if (k.has_lock) lock_claimed_.insert(k.lock_addr);
-      if (k.cache_mut) node_mut_[items_[i].node] = 1;
-      for (std::uint8_t r = 0; r < k.remote.count; ++r) {
-        node_mut_[k.remote.node[r]] = 1;
-      }
-      shard_items_[k.home % W].push_back(static_cast<std::uint32_t>(i));
-      batch_.push_back(static_cast<std::uint32_t>(i));
-      break;
-    }
-  }
-  flush_batch();
-}
-
-void Machine::flush_batch() {
-  if (batch_.empty()) return;
-  const std::uint32_t W = pool_->workers();
-  std::uint32_t occupied = 0;
-  for (const auto& s : shard_items_) occupied += s.empty() ? 0 : 1;
-  // CICO_DEBUG_BATCHES=1 prints the batch-size distribution; handy when
-  // tuning boundary_batch_min against a new workload.
-  if (std::getenv("CICO_DEBUG_BATCHES") != nullptr) {
-    std::fprintf(stderr, "flush: %zu items, %u shards\n", batch_.size(),
-                 occupied);
-  }
-  const std::size_t batch_min =
-      cfg_.boundary_batch_min > 1 ? cfg_.boundary_batch_min : 1;
-  if (batch_.size() < batch_min || occupied < 2) {
-    // Too small to amortize the fork/join: run inline, still in canonical
-    // order, with effects applied directly (no logs).
-    for (const std::uint32_t idx : batch_) {
-      if (aborted_) break;
-      execute_item(items_[idx]);
-    }
-  } else {
-    logs_.resize(items_.size());
-    pool_->run(W, [this](std::uint32_t w) {
-      for (const std::uint32_t idx : shard_items_[w]) {
-        EffectLog& lg = logs_[idx];
-        lg.clear();
-        EffectLog::current() = &lg;
-        execute_item(items_[idx]);
-        EffectLog::current() = nullptr;
-      }
-    });
-    // Deterministic merge: replay every item's effects in canonical order,
-    // stopping at (and including) the first aborting item -- exactly the
-    // prefix a serial execution would have produced.
-    for (const std::uint32_t idx : batch_) {
-      const EffectLog& lg = logs_[idx];
-      stats_.apply(lg);
-      net_.apply(lg);
-      if (tracer_ != nullptr) {
-        for (const auto& mi : lg.misses) {
-          tracer_->record_miss(mi.node, static_cast<trace::MissKind>(mi.kind),
-                               mi.addr, mi.size, mi.pc, mi.epoch);
-        }
-      }
-      if (obs_ != nullptr) {
-        for (const auto& ev : lg.obs_events) {
-          if (ev.kind == EffectLog::ObsEvent::kTrap) {
-            obs_->on_trap(ev.node, ev.home, ev.block, ev.t0, ev.t1, ev.aux,
-                          ev.epoch);
-          } else {
-            obs_->on_prefetch_fill(ev.node, ev.block, ev.t0, ev.t1, ev.epoch);
-          }
-        }
-      }
-      if (lg.aborted) {
-        abort_run(lg.abort_error, lg.abort_msg);
-        break;
-      }
-    }
-  }
-  batch_.clear();
-  for (auto& s : shard_items_) s.clear();
-  claimed_.clear();
-  lock_claimed_.clear();
-  std::fill(node_mut_.begin(), node_mut_.end(), 0);
-}
-
-void Machine::record_trace_miss(NodeCtx& c, NodeId n, trace::MissKind kind) {
-  if (EffectLog* lg = EffectLog::current(); lg != nullptr) {
-    // On a shard worker: buffer the miss; the coordinator replays logs in
-    // canonical order so the trace matches the serial schedule.
-    lg->misses.push_back({n, static_cast<std::uint8_t>(kind), c.op_addr,
-                          c.op_size, c.op_pc, c.epoch});
-    return;
-  }
-  tracer_->record_miss(n, kind, c.op_addr, c.op_size, c.op_pc, c.epoch);
-}
-
 void Machine::record_obs_trap(NodeId n, Block b, Cycle t0, Cycle t1,
                               std::uint32_t invalidations, EpochId epoch) {
   if (obs_ == nullptr) return;
-  if (EffectLog* lg = EffectLog::current(); lg != nullptr) {
-    lg->obs_events.push_back({EffectLog::ObsEvent::kTrap, n, dir_->home_of(b),
-                              b, t0, t1, invalidations, epoch});
-    return;
-  }
   obs_->on_trap(n, dir_->home_of(b), b, t0, t1, invalidations, epoch);
-}
-
-void Machine::record_obs_prefetch(NodeId n, Block b, Cycle issue, Cycle ready,
-                                  EpochId epoch) {
-  if (obs_ == nullptr) return;
-  if (EffectLog* lg = EffectLog::current(); lg != nullptr) {
-    lg->obs_events.push_back(
-        {EffectLog::ObsEvent::kPrefetch, n, 0, b, issue, ready, 0, epoch});
-    return;
-  }
-  obs_->on_prefetch_fill(n, b, issue, ready, epoch);
 }
 
 void Machine::insert_line(NodeCtx& c, NodeId n, Block b, LineState s, Cycle t) {
@@ -938,7 +668,9 @@ void Machine::service_mem(NodeCtx& c, NodeId n) {
   stats_.add(n, Stat::StallCycles, res.done_at - c.op_issue);
   c.now = res.done_at;
   c.op_attempts = 0;
-  if (tracer_ != nullptr) record_trace_miss(c, n, kind);
+  if (tracer_ != nullptr) {
+    tracer_->record_miss(n, kind, c.op_addr, c.op_size, c.op_pc, c.epoch);
+  }
   c.wait = NodeCtx::Wait::Ready;
 }
 
@@ -1046,11 +778,11 @@ void Machine::service_prefetch(NodeCtx& c, NodeId n, Block b, bool exclusive,
   c.prefetch_last_done = done;
   insert_line(c, n, b, exclusive ? LineState::Exclusive : LineState::Shared, t);
   c.prefetch_ready[b] = done;
-  record_obs_prefetch(n, b, t, done, c.epoch);
+  if (obs_ != nullptr) obs_->on_prefetch_fill(n, b, t, done, c.epoch);
 }
 
 void Machine::grant_or_queue_lock(NodeCtx& c, NodeId n) {
-  LockState& L = lock_state(c.op_addr);
+  LockState& L = locks_[c.op_addr];
   if (!L.held) {
     L.held = true;
     L.holder = n;
@@ -1066,7 +798,7 @@ void Machine::grant_or_queue_lock(NodeCtx& c, NodeId n) {
 }
 
 void Machine::release_lock(Addr a, NodeId /*n*/, Cycle t) {
-  LockState& L = lock_state(a);
+  LockState& L = locks_[a];
   L.held = false;
   L.holder = kInvalidNode;
   if (L.queue.empty()) return;
@@ -1137,8 +869,7 @@ bool Machine::try_complete_barrier() {
 
   // 3a. Observability: per-node barrier waits (arrival -> release) and the
   //     epoch's time-series row, flushed before the next epoch's planned
-  //     directives execute.  Runs on the coordinator after every effect
-  //     replay, so the stream is boundary-thread independent.
+  //     directives execute.
   if (obs_ != nullptr) {
     for (NodeId n : at_barrier) {
       obs_->on_barrier_wait(n, ctxs_[n]->now, t, global_epoch_);
@@ -1243,17 +974,6 @@ bool Machine::inline_retry_exhausted(std::uint32_t attempt) const {
 }
 
 void Machine::abort_run(std::exception_ptr e, std::string msg) {
-  if (EffectLog* lg = EffectLog::current(); lg != nullptr) {
-    // On a shard worker: divert into the item's log.  The coordinator
-    // replays logs in canonical order and re-raises the first abort, so the
-    // winning cause is schedule-independent.
-    if (!lg->aborted) {
-      lg->aborted = true;
-      lg->abort_msg = std::move(msg);
-      lg->abort_error = std::move(e);
-    }
-    return;
-  }
   if (aborted_) return;
   aborted_ = true;
   abort_msg_ = std::move(msg);

@@ -1,14 +1,17 @@
 // Execution-driven multiprocessor simulator (the WWT substitute).
 //
-// Each simulated node's program runs on its own host thread and keeps a
-// local virtual clock.  Threads execute freely inside a conservative
-// window of `quantum` cycles: shared-data cache HITS are charged inline
-// with no synchronization; MISSES, explicit directives, barriers and locks
-// park the thread.  When every thread is parked, the last arrival runs the
-// *boundary phase*: all pending operations are serviced through the Dir1SW
-// directory in (virtual time, node) order, making every reported metric
-// deterministic regardless of host scheduling.  This is the same
-// quantum-based conservative synchronization WWT used on the CM-5.
+// Each simulated node's program runs as a stackful fiber (fiber.hpp) on
+// the host thread that calls Machine::run, and keeps a local virtual
+// clock.  Fibers execute inside a conservative window of `quantum`
+// cycles: shared-data cache HITS are charged inline; MISSES, explicit
+// directives, barriers and locks park the fiber, which switches back to
+// the scheduler.  The scheduler resumes runnable fibers in ascending node
+// order; once every fiber is parked it runs the *boundary phase*: all
+// pending operations are serviced through the directory in (virtual time,
+// node) order, making every reported metric deterministic.  This is the
+// same quantum-based conservative synchronization WWT used on the CM-5;
+// because the schedule is a fixed function of simulated state, even the
+// host values a racy program leaves in shared arrays repeat run to run.
 //
 // The engine also implements the measurement hooks the paper needs:
 //   * trace mode -- records every miss and flushes all shared-data caches
@@ -20,29 +23,24 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "cico/common/effect_log.hpp"
 #include "cico/common/pc_registry.hpp"
 #include "cico/common/stats.hpp"
 #include "cico/common/types.hpp"
-#include "cico/kern/stampset.hpp"
 #include "cico/mem/cache.hpp"
 #include "cico/net/network.hpp"
 #include "cico/obs/collector.hpp"
 #include "cico/proto/dir1sw.hpp"
 #include "cico/proto/dirn.hpp"
-#include "cico/sim/boundary_pool.hpp"
 #include "cico/sim/config.hpp"
+#include "cico/sim/fiber.hpp"
 #include "cico/sim/plan.hpp"
 #include "cico/sim/shared_heap.hpp"
 #include "cico/trace/trace.hpp"
@@ -116,8 +114,8 @@ class InvariantViolation : public std::runtime_error {
 /// Thrown when an external cancel flag (Machine::set_cancel_flag) is
 /// observed at a window boundary: a job deadline expired or the client
 /// that asked for the run went away.  Cooperative -- the run unwinds
-/// through the same abort path as SimDeadlock, so every node thread
-/// parks, joins, and the Machine is left safe to destroy.
+/// through the same abort path as SimDeadlock, so every node fiber
+/// unwinds to its end and the Machine is left safe to destroy.
 class SimCancelled : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -126,7 +124,6 @@ class SimCancelled : public std::runtime_error {
 class Machine {
  public:
   explicit Machine(SimConfig cfg);
-  ~Machine();
 
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;
@@ -155,13 +152,17 @@ class Machine {
   void set_cancel_flag(const std::atomic<bool>* f) { cancel_ = f; }
 
   /// Attach an observability collector (may be null; the collector must
-  /// outlive the run).  Callbacks fire on simulated virtual time in a
-  /// deterministic, boundary-thread-independent order: events raised on
-  /// shard workers divert through the per-item EffectLog and are replayed
-  /// canonically, like every other shared-state effect.
+  /// outlive the run).  Callbacks fire from the boundary phase on
+  /// simulated virtual time, in the deterministic service order.
   void set_observer(obs::Collector* o) { obs_ = o; }
 
-  /// Runs `body` on every node to completion.  May be called once.
+  /// Runs `body` on every node to completion, each node as a fiber on the
+  /// calling thread.  May be called once.  An exception thrown by a body
+  /// (or an abort: SimDeadlock, ProtocolTimeout, InvariantViolation,
+  /// SimCancelled) is rethrown here once every fiber has unwound.  A body
+  /// must not call into its Proc from inside a catch handler: handled
+  /// exceptions are tracked per host thread, so a fiber switch there would
+  /// mix its handler with another node's.
   void run(const std::function<void(Proc&)>& body);
 
   /// Execution time = max node completion time (valid after run()).
@@ -177,12 +178,6 @@ class Machine {
   /// (soak reports read its telemetry after run()).
   [[nodiscard]] const fault::FaultInjector* fault_injector() const {
     return injector_.get();
-  }
-
-  /// Effective boundary-phase parallelism: cfg.boundary_threads when the
-  /// protocol is shardable, else 1 (serial fallback).
-  [[nodiscard]] std::uint32_t boundary_workers() const {
-    return pool_ != nullptr ? pool_->workers() : 1;
   }
 
   /// Host wall-clock of the whole run and of its boundary phase (valid
@@ -248,7 +243,7 @@ class Machine {
     mem::Cache cache;
     std::unordered_map<Block, Cycle> prefetch_ready;
     Cycle prefetch_last_done = 0;  ///< bandwidth pacing of prefetch fills
-    std::thread thread;
+    std::unique_ptr<Fiber> fiber;  ///< the node's program (during run())
   };
 
   struct LockState {
@@ -273,7 +268,14 @@ class Machine {
     Machine* m_;
   };
 
-  // --- node-thread side ----------------------------------------------------
+  // --- scheduler -------------------------------------------------------------
+  /// A node fiber's entry: runs the body, records its first error.
+  void node_main(const std::function<void(Proc&)>& body, NodeId n);
+  /// Sweeps runnable fibers and runs the boundary phase until every node
+  /// is done or the run aborts; then unwinds any fiber still parked.
+  void schedule();
+
+  // --- node-fiber side -------------------------------------------------------
   void access(NodeId n, Addr a, std::uint32_t size, bool write, PcId pc);
   void compute(NodeId n, Cycle cycles);
   void do_barrier(NodeId n, PcId pc);
@@ -289,7 +291,7 @@ class Machine {
   void maybe_window_park(NodeCtx& c);
   void park(NodeCtx& c, NodeCtx::Wait w);
 
-  // --- boundary phase (runs with all threads parked, under mu_) ------------
+  // --- boundary phase (runs on the scheduler with every fiber parked) -------
 
   /// One pending boundary operation in canonical (time, node, seq) order.
   struct Item {
@@ -299,36 +301,10 @@ class Machine {
     int async_idx;  // -1 => the node's blocking op
   };
 
-  /// Sharding verdict for one Item, derived from current machine state.
-  struct ItemClass {
-    bool skip = false;       ///< no-op (e.g. lock already granted); elide
-    bool serial = true;      ///< must run on the coordinator, batch flushed
-    bool cache_mut = false;  ///< mutates the issuing node's cache/prefetch state
-    bool has_victim = false;
-    bool has_block = false;  ///< block/home are meaningful (directory footprint)
-    bool has_lock = false;   ///< lock_addr is meaningful (lock-table footprint)
-    Block block = 0;   ///< primary footprint (claimed for the batch)
-    Block victim = 0;  ///< predicted eviction target (claimed too)
-    Addr lock_addr = 0;  ///< lock-table slot the item grabs or releases
-    NodeId home = 0;   ///< shard key: home_of(block) or lock_home(lock_addr)
-    /// Remote caches the handler would mutate (recall / invalidation
-    /// targets); each is claimed for the batch like a cache-mut node.
-    proto::Touched remote;
-  };
-
   void boundary();
   void resume_window(Cycle min_now);
   void process_ops();
-  /// Executes one item exactly as the original serial loop did (including
-  /// the push-eviction drain for async ops).
   void execute_item(const Item& it);
-  [[nodiscard]] ItemClass classify_item(const Item& it) const;
-  /// Conflict-aware batched execution across the worker pool; equivalent
-  /// to executing items_ serially in canonical order (docs/boundary_sharding.md).
-  void process_ops_sharded();
-  /// Runs the accumulated batch (inline when tiny, else on the pool with
-  /// per-item effect logs replayed canonically) and resets claim state.
-  void flush_batch();
   void service_mem(NodeCtx& c, NodeId n);
   void service_checkout_range(NodeCtx& c, NodeId n);
   Cycle do_checkout(NodeCtx& c, NodeId n, DirectiveKind kind, BlockRun run,
@@ -340,13 +316,8 @@ class Machine {
   void apply_epoch_start(NodeId n, EpochId e);
   void apply_epoch_end(NodeId n, EpochId e);
   void insert_line(NodeCtx& c, NodeId n, Block b, mem::LineState s, Cycle t);
-  void record_trace_miss(NodeCtx& c, NodeId n, trace::MissKind kind);
-
-  // --- observability (divert-or-deliver, like record_trace_miss) -----------
   void record_obs_trap(NodeId n, Block b, Cycle t0, Cycle t1,
                        std::uint32_t invalidations, EpochId epoch);
-  void record_obs_prefetch(NodeId n, Block b, Cycle issue, Cycle ready,
-                           EpochId epoch);
 
   // --- fault handling (boundary side) --------------------------------------
   /// Backoff before retry number `attempt` (exponential, capped).
@@ -360,9 +331,8 @@ class Machine {
   /// the directory permanently ahead of the cache.
   void reliable_put(NodeId n, Block b, bool dirty, Cycle t, bool explicit_ci);
   void reliable_post_store(NodeId n, Block b, Cycle t);
-  /// Records the first abort cause; parked threads observe `aborted_` and
-  /// unwind, run() rethrows `abort_error_`.  Never throws (a throw out of
-  /// the boundary phase would strand every parked thread).
+  /// Records the first abort cause; parked fibers observe `aborted_` and
+  /// unwind, run() rethrows `abort_error_`.  Never throws.
   void abort_run(std::exception_ptr e, std::string msg);
   /// Paranoid-mode audit; aborts with InvariantViolation on divergence.
   /// Per-epoch audits run memoized (only blocks touched since the last
@@ -380,15 +350,7 @@ class Machine {
   std::unique_ptr<fault::FaultInjector> injector_;
   SharedHeap heap_;
   std::vector<std::unique_ptr<NodeCtx>> ctxs_;
-  /// Lock table, partitioned like directory slices (lock_home(a) == a %
-  /// nodes): a shard worker may grant or release a lock without touching
-  /// any other worker's slice, which is what lets Lock/Unlock items run
-  /// batched instead of forcing a serial flush (docs/boundary_sharding.md).
-  std::vector<std::unordered_map<Addr, LockState>> lock_slices_;
-  [[nodiscard]] NodeId lock_home(Addr a) const {
-    return static_cast<NodeId>(a % cfg_.nodes);
-  }
-  LockState& lock_state(Addr a) { return lock_slices_[lock_home(a)][a]; }
+  std::unordered_map<Addr, LockState> locks_;
   /// Evictions caused by push_shared while the directory is mid-call;
   /// drained after the triggering transaction returns (re-entrancy guard).
   std::vector<std::pair<NodeId, mem::Cache::Eviction>> pending_push_evicts_;
@@ -398,25 +360,11 @@ class Machine {
   obs::Collector* obs_ = nullptr;
   const std::atomic<bool>* cancel_ = nullptr;
 
-  // --- sharded boundary phase (tentpole) -----------------------------------
-  std::unique_ptr<BoundaryPool> pool_;  ///< null => original serial loop
-  std::vector<Item> items_;             ///< hoisted per-round item buffer
-  std::vector<EffectLog> logs_;         ///< per-item side-effect logs
-  std::vector<std::uint32_t> batch_;    ///< item indices of the open batch
-  std::vector<std::vector<std::uint32_t>> shard_items_;  ///< per-shard slices
-  /// Claim sets of the open batch.  Generation-stamped (kern::StampSet):
-  /// resetting between batches is a counter bump, not a hash-table or
-  /// bitset wipe, which matters because flush_batch runs per conflict.
-  kern::StampSet claimed_;        ///< blocks owned by the open batch
-  kern::StampSet lock_claimed_;   ///< lock-table slots owned by the batch
-  std::vector<std::uint8_t> node_mut_;  ///< node already has a cache-mut item
+  std::vector<Item> items_;  ///< per-round item buffer, reused across rounds
 
   double host_total_sec_ = 0.0;
   double host_boundary_sec_ = 0.0;
 
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::uint32_t active_ = 0;
   Cycle window_end_ = 0;
   EpochId global_epoch_ = 0;
   bool aborted_ = false;

@@ -168,12 +168,10 @@ TEST(CacheKey, SensitiveToOutputChangingInputs) {
 }
 
 TEST(CacheKey, InsensitiveToHostOnlyKnobs) {
-  // deadline_ms bounds host time; boundary_threads is byte-identical by
-  // the boundary_equiv_test guarantee.  Neither may fragment the cache.
+  // deadline_ms bounds host time; it must not fragment the cache.
   const JobRequest base = make_req("run");
   JobRequest other = base;
   other.cfg.deadline_ms = 1234;
-  other.cfg.boundary_threads = 4;
   EXPECT_EQ(cache_key(base), cache_key(other));
 }
 
@@ -236,6 +234,19 @@ TEST(JobJson, SubmitRoundTrips) {
   EXPECT_EQ(got.cfg.paranoid, req.cfg.paranoid);
   EXPECT_EQ(got.cfg.want_report, req.cfg.want_report);
   EXPECT_EQ(got.cfg.deadline_ms, req.cfg.deadline_ms);
+}
+
+TEST(JobJson, SubmitIgnoresRetiredBoundaryThreads) {
+  // Older clients send config.boundary_threads; it must parse and change
+  // neither the request nor its cache key.
+  const JobRequest req = make_req("run");
+  obs::Json frame = submit_frame(req);
+  obs::Json cfg = *frame.find("config");
+  cfg.set("boundary_threads", obs::Json::number(std::uint64_t{4}));
+  frame.set("config", std::move(cfg));
+  const JobRequest got = parse_submit(frame);
+  EXPECT_EQ(got.cfg.nodes, req.cfg.nodes);
+  EXPECT_EQ(cache_key(got), cache_key(req));
 }
 
 TEST(JobJson, SubmitRejectsUnknownCommandAndBadNodes) {

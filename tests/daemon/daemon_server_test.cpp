@@ -40,7 +40,7 @@ const char* kSlowProgram =
     "const N = 64;\n"
     "shared real A[N];\n"
     "parallel\n"
-    "  for r = 1 to 400 do\n"
+    "  for r = 1 to 4000 do\n"
     "    for i = 0 to N - 1 do\n"
     "      A[pid] = A[pid] + 1;\n"
     "    od\n"
@@ -176,6 +176,11 @@ TEST(Server, SaturatedQueueShedsWithRetryAfterNotHang) {
   ServerFixture f("shed", /*workers=*/1, /*queue=*/1);
   io::Fd running = raw_submit(f.opt.socket_path, make_req(kSlowProgram));
   (void)raw_wait_for(running.get(), "status");  // queued
+  // Only once the worker has taken it does the queue slot free up for the
+  // second job; submitting earlier would be shed instead.
+  const obs::Json started = raw_wait_for(running.get(), "status");
+  ASSERT_NE(started.find("state"), nullptr);
+  ASSERT_EQ(started.find("state")->as_string(), "running");
   JobRequest queued_req = make_req(kSlowProgram);
   queued_req.cfg.nodes = 8;  // distinct key so it cannot be served by cache
   io::Fd queued = raw_submit(f.opt.socket_path, queued_req);
@@ -284,10 +289,16 @@ TEST(Server, GracefulDrainFinishesQueuedWorkAndUnbindsSocket) {
   server.start();
 
   // A job is in the queue when the drain begins; it must still complete.
+  // The "queued" status goes out before the job is published, so wait for
+  // the server to count it: a drain landing in between is (correctly)
+  // answered with "draining" instead.
   io::Fd pending = raw_submit(opt.socket_path, make_req(kFastProgram));
   (void)raw_wait_for(pending.get(), "status");
+  ASSERT_TRUE(eventually([&] { return server.counters().submitted == 1; }));
   server.request_drain();
   const obs::Json result = raw_wait_for(pending.get(), "result");
+  ASSERT_EQ(frame_type(result), "result");
+  ASSERT_NE(result.find("exit"), nullptr);
   EXPECT_EQ(result.find("exit")->as_u64(), 0u);
 
   // New connections are refused while draining (or the socket is gone).

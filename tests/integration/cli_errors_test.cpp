@@ -142,11 +142,12 @@ TEST_F(CliErrorsTest, ZeroNodeCountIsStillUsageExit1) {
   EXPECT_NE(r.output.find("usage:"), std::string::npos) << r.output;
 }
 
-TEST_F(CliErrorsTest, BadBoundaryThreadsIsExit2) {
+TEST_F(CliErrorsTest, RetiredBoundaryThreadsFlagIsUsageExit1) {
+  // The simulator runs every node on one host thread; the old flag is now
+  // just an unknown argument.
   const CmdResult r = run_cli("run " + prog_ + " --boundary-threads x");
-  EXPECT_EQ(r.exit_code, 2);
-  EXPECT_NE(r.output.find("--boundary-threads"), std::string::npos)
-      << r.output;
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.output.find("usage:"), std::string::npos) << r.output;
 }
 
 TEST_F(CliErrorsTest, BadCampaignsIsExit2) {

@@ -9,7 +9,7 @@
 //     algebra against a std::set oracle, re-run under every available
 //     level via the set_level test hook.
 // Plus the word-boundary / empty / full edge cases the dense layout is
-// most likely to get wrong, and the StampSet / NodeMask units.
+// most likely to get wrong, and the NodeMask units.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,6 @@
 #include "cico/kern/bitset.hpp"
 #include "cico/kern/kernels.hpp"
 #include "cico/kern/nodemask.hpp"
-#include "cico/kern/stampset.hpp"
 
 namespace cico::kern {
 namespace {
@@ -307,41 +306,6 @@ TEST(BlockSet, ClearKeepsWorking) {
   EXPECT_FALSE(s.contains(2));
   s.insert(7);
   EXPECT_EQ(to_std(s), (std::set<std::uint64_t>{7}));
-}
-
-// ---------------------------------------------------------------------------
-// StampSet
-// ---------------------------------------------------------------------------
-
-TEST(StampSet, InsertContainsClear) {
-  StampSet s;
-  EXPECT_FALSE(s.contains(42));
-  s.insert(42);
-  s.insert(40);   // grows downward
-  s.insert(100);  // grows upward
-  EXPECT_TRUE(s.contains(42));
-  EXPECT_TRUE(s.contains(40));
-  EXPECT_TRUE(s.contains(100));
-  EXPECT_FALSE(s.contains(41));
-  EXPECT_FALSE(s.contains(39));
-  EXPECT_FALSE(s.contains(101));
-  s.clear();
-  EXPECT_FALSE(s.contains(42));
-  EXPECT_FALSE(s.contains(40));
-  EXPECT_FALSE(s.contains(100));
-  s.insert(42);
-  EXPECT_TRUE(s.contains(42));
-  EXPECT_FALSE(s.contains(100));  // older generation stays dead
-}
-
-TEST(StampSet, ManyClearCyclesStayCorrect) {
-  StampSet s;
-  for (std::uint64_t round = 0; round < 1000; ++round) {
-    s.insert(round % 7);
-    EXPECT_TRUE(s.contains(round % 7));
-    EXPECT_FALSE(s.contains((round + 1) % 7));
-    s.clear();
-  }
 }
 
 // ---------------------------------------------------------------------------

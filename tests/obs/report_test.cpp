@@ -1,7 +1,6 @@
-// Determinism and schema contract of the obs layer (ISSUE 3 tentpole):
-// the JSON run report and the Chrome trace export must be byte-identical
-// for every --boundary-threads value, the report envelope must carry the
-// pinned schema_version, and Json::parse(dump(x)) must round-trip
+// Determinism and schema contract of the obs layer: the JSON run report
+// and the Chrome trace export must be byte-identical run to run, the report
+// envelope must carry the pinned schema_version, and Json::parse(dump(x)) must round-trip
 // byte-for-byte so consumers can rewrite reports losslessly.
 #include <gtest/gtest.h>
 
@@ -23,16 +22,13 @@ namespace {
 
 enum class AppKind { MatMul, Jacobi };
 
-// Same workload shape as boundary_equiv_test: small caches so the apps
-// actually miss, boundary_batch_min=2 so threads>1 really dispatch work.
-sim::SimConfig report_cfg(AppKind app, std::uint32_t threads) {
+// Small caches so the apps actually miss.
+sim::SimConfig report_cfg(AppKind app) {
   sim::SimConfig c;
   c.nodes = app == AppKind::MatMul ? 8 : 16;
   c.cache.size_bytes = 4096;
   c.cache.assoc = 4;
   c.cache.block_bytes = 32;
-  c.boundary_threads = threads;
-  c.boundary_batch_min = 2;
   return c;
 }
 
@@ -56,8 +52,8 @@ struct RunArtifacts {
   std::string events;  ///< Chrome trace-event JSON
 };
 
-RunArtifacts run_once(AppKind app, std::uint32_t threads) {
-  const sim::SimConfig cfg = report_cfg(app, threads);
+RunArtifacts run_once(AppKind app) {
+  const sim::SimConfig cfg = report_cfg(app);
   sim::Machine m(cfg);
   Collector col;
   col.set_events_enabled(true);
@@ -84,9 +80,8 @@ RunArtifacts run_once(AppKind app, std::uint32_t threads) {
 /// Same workload, but epoch rows stream through an EpochStreamWriter
 /// sidecar instead of buffering in the Collector; returns the final
 /// report bytes assembled via the splice resolver.
-std::string run_streamed(AppKind app, std::uint32_t threads,
-                         const std::string& sidecar) {
-  const sim::SimConfig cfg = report_cfg(app, threads);
+std::string run_streamed(AppKind app, const std::string& sidecar) {
+  const sim::SimConfig cfg = report_cfg(app);
   sim::Machine m(cfg);
   Collector col;
   EpochStreamWriter writer(sidecar);
@@ -115,36 +110,32 @@ std::string run_streamed(AppKind app, std::uint32_t threads,
 class ReportEquiv : public ::testing::TestWithParam<AppKind> {};
 
 TEST_P(ReportEquiv, StreamedEpochSeriesIsByteIdenticalToBuffered) {
-  // O(1)-memory streaming must not change a single report byte, for any
-  // boundary-thread count (rows flush on the coordinator at barriers, so
-  // their order is canonical regardless of sharding).
-  const RunArtifacts buffered = run_once(GetParam(), 1);
-  const std::string dir = ::testing::TempDir();
-  EXPECT_EQ(run_streamed(GetParam(), 1, dir + "epochs_t1.rows"),
-            buffered.report);
-  EXPECT_EQ(run_streamed(GetParam(), 4, dir + "epochs_t4.rows"),
+  // O(1)-memory streaming must not change a single report byte (rows flush
+  // at barriers, in canonical order).
+  const RunArtifacts buffered = run_once(GetParam());
+  EXPECT_EQ(run_streamed(GetParam(), ::testing::TempDir() + "epochs.rows"),
             buffered.report);
 }
 
 TEST_P(ReportEquiv, StreamWriterRemovesItsSidecar) {
   const std::string sidecar = ::testing::TempDir() + "epochs_tmp.rows";
-  (void)run_streamed(GetParam(), 1, sidecar);
+  (void)run_streamed(GetParam(), sidecar);
   std::ifstream left(sidecar);
   EXPECT_FALSE(left.good()) << "sidecar not cleaned up: " << sidecar;
 }
 
-TEST_P(ReportEquiv, ReportBytesIdenticalAcrossBoundaryThreads) {
-  const RunArtifacts serial = run_once(GetParam(), 1);
-  ASSERT_FALSE(serial.report.empty());
-  for (std::uint32_t t : {2u, 4u}) {
-    const RunArtifacts sharded = run_once(GetParam(), t);
-    EXPECT_EQ(sharded.report, serial.report) << "threads=" << t;
-    EXPECT_EQ(sharded.events, serial.events) << "threads=" << t;
+TEST_P(ReportEquiv, ReportBytesIdenticalAcrossRuns) {
+  const RunArtifacts first = run_once(GetParam());
+  ASSERT_FALSE(first.report.empty());
+  for (int rep = 1; rep <= 2; ++rep) {
+    const RunArtifacts again = run_once(GetParam());
+    EXPECT_EQ(again.report, first.report) << "repeat " << rep;
+    EXPECT_EQ(again.events, first.events) << "repeat " << rep;
   }
 }
 
 TEST_P(ReportEquiv, ReportParsesAndRoundTripsByteForByte) {
-  const RunArtifacts art = run_once(GetParam(), 2);
+  const RunArtifacts art = run_once(GetParam());
   const Json back = Json::parse(art.report);
   EXPECT_EQ(back.dump_string(), art.report);
   // The event export is also well-formed JSON.
@@ -159,7 +150,7 @@ INSTANTIATE_TEST_SUITE_P(Apps, ReportEquiv,
                          });
 
 TEST(ReportSchema, EnvelopeCarriesPinnedVersionAndSections) {
-  const RunArtifacts art = run_once(AppKind::MatMul, 1);
+  const RunArtifacts art = run_once(AppKind::MatMul);
   const Json rep = Json::parse(art.report);
   ASSERT_NE(rep.find("schema_version"), nullptr);
   EXPECT_EQ(rep.find("schema_version")->as_u64(), kReportSchemaVersion);
@@ -179,7 +170,7 @@ TEST(ReportSchema, DirectiveTablePartitionsDirectiveCycles) {
   // Schema v2: runs carry a per-directive {count, cycles} table whose
   // check-out/check-in/post-store cycles partition DirectiveCycles exactly
   // (prefetch issue is asynchronous and deliberately outside the sum).
-  const sim::SimConfig cfg = report_cfg(AppKind::MatMul, 1);
+  const sim::SimConfig cfg = report_cfg(AppKind::MatMul);
   sim::Machine m(cfg);
   Collector col;
   m.set_observer(&col);
@@ -218,16 +209,15 @@ TEST(ReportSchema, DirectiveTablePartitionsDirectiveCycles) {
             run.find("cost_breakdown")->find("directive_cycles")->as_u64());
 }
 
-TEST(ReportSchema, ConfigExcludesHostTuningKnobs) {
-  // boundary_threads is a host performance knob; leaking it into the
-  // report would make equal runs compare unequal.
-  const RunArtifacts a = run_once(AppKind::MatMul, 1);
-  EXPECT_EQ(a.report.find("boundary_threads"), std::string::npos);
+TEST(ReportSchema, ConfigExcludesHostTiming) {
+  // Host wall-clock leaking into the report would make equal runs compare
+  // unequal.
+  const RunArtifacts a = run_once(AppKind::MatMul);
   EXPECT_EQ(a.report.find("wall"), std::string::npos);
 }
 
 TEST(ReportSchema, EpochSeriesSumsToRunTotals) {
-  const sim::SimConfig cfg = report_cfg(AppKind::Jacobi, 1);
+  const sim::SimConfig cfg = report_cfg(AppKind::Jacobi);
   sim::Machine m(cfg);
   Collector col;
   m.set_observer(&col);
@@ -253,7 +243,7 @@ TEST(ReportSchema, EpochSeriesSumsToRunTotals) {
 }
 
 TEST(ReportSchema, HotBlocksSortedByCountThenBlock) {
-  const sim::SimConfig cfg = report_cfg(AppKind::MatMul, 1);
+  const sim::SimConfig cfg = report_cfg(AppKind::MatMul);
   sim::Machine m(cfg);
   Collector col;
   m.set_observer(&col);

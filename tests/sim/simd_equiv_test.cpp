@@ -3,8 +3,8 @@
 // the SAME deterministic fingerprint -- execution time, epochs, every
 // per-node stat counter, network totals, trace text -- under every level
 // available on the host, in every engine configuration that exercises the
-// kernels (serial, sharded boundary phase, paranoid audits, trace mode,
-// directive plans via the full annotate pipeline in minipar_apps_test).
+// kernels (plain, paranoid audits, trace mode, directive plans via the full
+// annotate pipeline in minipar_apps_test).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -43,15 +43,12 @@ struct Fingerprint {
 
 enum class AppKind { MatMul, Jacobi };
 
-Fingerprint run_once(AppKind app, std::uint32_t threads, bool paranoid,
-                     bool trace_mode) {
+Fingerprint run_once(AppKind app, bool paranoid, bool trace_mode) {
   SimConfig cfg;
   cfg.nodes = app == AppKind::MatMul ? 8 : 16;
   cfg.cache.size_bytes = 4096;
   cfg.cache.assoc = 4;
   cfg.cache.block_bytes = 32;
-  cfg.boundary_threads = threads;
-  cfg.boundary_batch_min = 2;
   cfg.audit_invariants = paranoid;
   cfg.trace_mode = trace_mode;
 
@@ -102,16 +99,16 @@ TEST_P(SimdEquiv, RunsAreByteIdenticalUnderEveryDispatchLevel) {
   ASSERT_FALSE(levels.empty());
   // Scalar is always available and is the reference.
   const kern::Level before = kern::set_level(kern::Level::Scalar);
-  const Fingerprint ref = run_once(GetParam(), 1, false, false);
-  const Fingerprint ref_par = run_once(GetParam(), 3, true, false);
-  const Fingerprint ref_trace = run_once(GetParam(), 1, false, true);
+  const Fingerprint ref = run_once(GetParam(), false, false);
+  const Fingerprint ref_par = run_once(GetParam(), true, false);
+  const Fingerprint ref_trace = run_once(GetParam(), false, true);
   ASSERT_FALSE(ref_trace.trace_text.empty());
   for (kern::Level l : levels) {
     SCOPED_TRACE(kern::level_name(l));
     kern::set_level(l);
-    EXPECT_EQ(run_once(GetParam(), 1, false, false), ref);
-    EXPECT_EQ(run_once(GetParam(), 3, true, false), ref_par);
-    EXPECT_EQ(run_once(GetParam(), 1, false, true), ref_trace);
+    EXPECT_EQ(run_once(GetParam(), false, false), ref);
+    EXPECT_EQ(run_once(GetParam(), true, false), ref_par);
+    EXPECT_EQ(run_once(GetParam(), false, true), ref_trace);
   }
   kern::set_level(before);
 }

@@ -68,7 +68,7 @@
 // Observability (run / compare): `--report out.json` writes the versioned
 // JSON run report and `--events out.json` the Chrome trace-event export
 // (docs/observability.md).  Both are pure functions of simulated state, so
-// their bytes are identical for any --boundary-threads value.
+// their bytes are identical run to run.
 // `--stream-epochs` writes epoch_series rows to a sidecar at each barrier
 // flush instead of buffering them, keeping report memory O(1) in epoch
 // count; the final report bytes are identical either way.
@@ -142,7 +142,6 @@ struct Options {
   std::string plan_file;        ///< run --plan <file>
   std::uint32_t campaigns = 10; ///< soak campaigns
   std::uint64_t seed = 1;       ///< soak base seed
-  std::uint32_t boundary_threads = 1;  ///< boundary-phase worker threads
   std::string report_file;      ///< run/compare --report <file>
   std::string events_file;      ///< run/compare --events <file>
   bool stream_epochs = false;   ///< stream epoch_series rows to a sidecar
@@ -165,7 +164,6 @@ void usage() {
       "               [-n nodes] [--mode programmer|performance]\n"
       "               [--plan file] [--faults spec] [--paranoid]\n"
       "               [--no-audit-memo]\n"
-      "               [--boundary-threads N]\n"
       "               [--report out.json] [--events out.json]\n"
       "               [--stream-epochs]\n"
       "               [--daemon sock] [--deadline-ms N]\n"
@@ -220,7 +218,6 @@ sim::SimConfig make_config(const Options& opt) {
   if (!opt.faults.empty()) cfg.faults = fault::FaultSpec::parse(opt.faults);
   cfg.audit_invariants = opt.paranoid;
   cfg.audit_memo = opt.audit_memo;
-  cfg.boundary_threads = opt.boundary_threads;
   return cfg;
 }
 
@@ -269,12 +266,10 @@ Cycle run_program(const lang::Program& prog, const sim::SimConfig& cfg,
     // byte-identical to this one-shot path.
     std::fputs(daemon::format_run_stats(m, cfg).c_str(), stdout);
     // Host wall-clock is inherently nondeterministic, so it goes to stderr:
-    // stdout stays byte-identical across boundary-thread counts.
-    std::fprintf(stderr,
-                 "# host: total=%.3fs boundary=%.3fs window=%.3fs threads=%u\n",
+    // stdout stays byte-identical run to run.
+    std::fprintf(stderr, "# host: total=%.3fs boundary=%.3fs window=%.3fs\n",
                  m.host_total_seconds(), m.host_boundary_seconds(),
-                 m.host_total_seconds() - m.host_boundary_seconds(),
-                 m.boundary_workers());
+                 m.host_total_seconds() - m.host_boundary_seconds());
   }
   return m.exec_time();
 }
@@ -355,12 +350,10 @@ struct SoakMeasure {
   std::uint64_t dups = 0;
 };
 
-SoakMeasure soak_once(const SoakApp& a, const std::string& spec,
-                      std::uint32_t boundary_threads = 1) {
+SoakMeasure soak_once(const SoakApp& a, const std::string& spec) {
   sim::SimConfig cfg;
   cfg.nodes = a.nodes;
   cfg.faults = fault::FaultSpec::parse(spec);
-  cfg.boundary_threads = boundary_threads;
   cfg.audit_invariants = true;  // soak always runs paranoid
   sim::Machine m(cfg);
   std::unique_ptr<apps::App> app = a.make(/*input seed=*/2);
@@ -462,40 +455,28 @@ int do_soak(const Options& opt) {
       ++total;
       const SoakMeasure r1 = soak_once(a, spec);
       const SoakMeasure r2 = soak_once(a, spec);
-      // Third replica on a sharded boundary (2 worker threads): completing
-      // runs must reproduce the serial fingerprint bit-for-bit; aborting
-      // runs promise only the same first abort cause, since items after it
-      // in a parallel batch may already have executed (see
-      // docs/boundary_sharding.md).
-      const SoakMeasure r3 = soak_once(a, spec, /*boundary_threads=*/2);
       const bool det = r1.time == r2.time && r1.msgs == r2.msgs &&
                        r1.retries == r2.retries && r1.drops == r2.drops &&
                        r1.dups == r2.dups &&
                        std::strcmp(r1.status, r2.status) == 0;
-      const bool xdet =
-          std::strcmp(r1.status, r3.status) == 0 &&
-          (std::strcmp(r1.status, "ok") != 0 ||
-           (r1.time == r3.time && r1.msgs == r3.msgs &&
-            r1.retries == r3.retries && r1.drops == r3.drops &&
-            r1.dups == r3.dups && r1.verified == r3.verified));
       const bool ok = std::strcmp(r1.status, "ok") == 0 && r1.verified;
       if (ok) ++survived;
       if (std::strcmp(r1.status, "timeout") == 0) ++timeouts;
       if (std::strcmp(r1.status, "deadlock") == 0) ++deadlocks;
       if (std::strcmp(r1.status, "invariant") == 0) ++violations;
-      if (!det || !xdet) ++nondet;
-      if (!ok || !det || !xdet) artifacts.note(seed, spec, a.name);
+      if (!det) ++nondet;
+      if (!ok || !det) artifacts.note(seed, spec, a.name);
       retries += r1.retries;
       drops += r1.drops;
       std::printf(
           "[%3u] %-7s seed=%-4llu %-9s t=%-9llu retries=%-6llu "
-          "drops=%-5llu dups=%-5llu det=%s x2=%s  %s\n",
+          "drops=%-5llu dups=%-5llu det=%s  %s\n",
           total, a.name, static_cast<unsigned long long>(seed), r1.status,
           static_cast<unsigned long long>(r1.time),
           static_cast<unsigned long long>(r1.retries),
           static_cast<unsigned long long>(r1.drops),
           static_cast<unsigned long long>(r1.dups), det ? "yes" : "NO",
-          xdet ? "yes" : "NO", spec.c_str());
+          spec.c_str());
     }
   }
 
@@ -642,7 +623,6 @@ int do_daemon_job(const Options& opt) {
   req.cfg.mode = opt.mode;
   req.cfg.faults = opt.faults;
   req.cfg.paranoid = opt.paranoid;
-  req.cfg.boundary_threads = opt.boundary_threads;
   req.cfg.want_report = !opt.report_file.empty();
   req.cfg.deadline_ms = opt.deadline_ms;
 
@@ -895,9 +875,6 @@ int parse_args(int argc, char** argv, Options& opt) {
       opt.paranoid = true;
     } else if (arg == "--no-audit-memo") {
       opt.audit_memo = false;
-    } else if (arg == "--boundary-threads" && i + 1 < argc) {
-      opt.boundary_threads =
-          parse_num<std::uint32_t>(argv[++i], "--boundary-threads value");
     } else if (arg == "--plan" && i + 1 < argc) {
       opt.plan_file = argv[++i];
     } else if (arg == "--report" && i + 1 < argc) {
@@ -969,7 +946,7 @@ int parse_args(int argc, char** argv, Options& opt) {
        ((opt.file == "put" || opt.file == "get") ? !opt.file3.empty()
         : (opt.file == "ls" || opt.file == "gc") && opt.file3.empty()));
   if (opt.command.empty() || (needs_file && opt.file.empty()) ||
-      opt.nodes == 0 || opt.boundary_threads == 0 ||
+      opt.nodes == 0 ||
       (opt.command == "soak" && opt.campaigns == 0) ||
       (opt.command == "diff" && opt.file2.empty()) ||
       (opt.command == "sync" && opt.file2.empty()) || !store_ok ||
