@@ -1,10 +1,13 @@
 #include "cico/daemon/job.hpp"
 
 #include <cstdio>
+#include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 
 #include "cico/analysis/diagnostics.hpp"
+#include "cico/analysis/fix.hpp"
 #include "cico/analysis/typestate.hpp"
 #include "cico/cachier/plan_builder.hpp"
 #include "cico/cachier/sharing.hpp"
@@ -15,6 +18,7 @@
 #include "cico/lang/unparse.hpp"
 #include "cico/obs/collector.hpp"
 #include "cico/obs/report.hpp"
+#include "cico/obs/stream.hpp"
 #include "cico/sim/machine.hpp"
 #include "cico/sim/plan_io.hpp"
 #include "cico/srcann/annotator.hpp"
@@ -24,231 +28,66 @@ namespace cico::daemon {
 
 namespace {
 
-const char* protocol_name(sim::ProtocolKind k) {
-  return k == sim::ProtocolKind::DirNFullMap ? "dirn_full_map" : "dir1sw";
-}
-
-sim::SimConfig sim_config(const JobConfig& jc) {
-  sim::SimConfig cfg;
-  cfg.nodes = jc.nodes;
-  if (!jc.faults.empty()) cfg.faults = fault::FaultSpec::parse(jc.faults);
-  cfg.audit_invariants = jc.paranoid;
-  return cfg;
-}
-
-struct Traced {
-  trace::Trace trace;
-  std::string report;
+/// What every command sees: the request, its parsed source, and the
+/// run-time hooks that are not part of the request.
+struct Ctx {
+  const JobRequest& req;
+  const lang::Program& prog;
+  const std::atomic<bool>* cancel;
+  const std::string& stream_report;
 };
 
-/// Traces the program (the CLI's trace_program), honouring `cancel`.
-Traced trace_program(const lang::Program& prog, std::uint32_t nodes,
-                     const std::atomic<bool>* cancel) {
-  sim::SimConfig cfg;
-  cfg.nodes = nodes;
-  cfg.trace_mode = true;
-  sim::Machine m(cfg);
-  m.set_cancel_flag(cancel);
-  trace::TraceWriter w;
-  m.set_trace_writer(&w);
-  lang::LoadedProgram lp(prog, m);
-  w.set_labels(m.heap().trace_labels());
-  m.run([&](sim::Proc& p) { lp.run_node(p); });
-  Traced t;
-  t.trace = w.take();
-  cachier::SharingAnalyzer sa(t.trace, cfg.cache);
-  t.report = sa.report(t.trace, m.pcs());
-  return t;
+/// A measured run's configuration; jobs always simulate Dir1SW.
+sim::SimConfig sim_config(const JobConfig& jc) {
+  return {.nodes = jc.nodes,
+          .faults = jc.faults.empty() ? fault::FaultSpec{}
+                                      : fault::FaultSpec::parse(jc.faults),
+          .audit_invariants = jc.paranoid};
 }
 
-/// A trace for annotate/plan: the supplied one when the request carries
-/// it, else a fresh trace-mode run.
-trace::Trace job_trace(const JobRequest& req, const lang::Program& prog,
-                       const std::atomic<bool>* cancel) {
-  if (!req.trace_text.empty()) {
-    std::istringstream in(req.trace_text);
-    return trace::load_text(in);
-  }
-  return trace_program(prog, req.cfg.nodes, cancel).trace;
-}
-
-void do_annotate(const JobRequest& req, const std::atomic<bool>* cancel,
-                 JobResult& r) {
-  const lang::Program prog = lang::parse(req.source);
+/// A trace-mode run of the program (Fig. 1's first step).  The machine
+/// and the loaded program stay alive for the passes that read them.
+struct TraceRun {
   sim::SimConfig cfg;
-  cfg.nodes = req.cfg.nodes;
-  cfg.trace_mode = true;
-  sim::Machine m(cfg);
-  m.set_cancel_flag(cancel);
-  trace::Trace t;
-  lang::LoadedProgram lp(prog, m);
-  if (!req.trace_text.empty()) {
-    std::istringstream in(req.trace_text);
-    t = trace::load_text(in);
-  } else {
+  sim::Machine m;
+  lang::LoadedProgram lp;
+  trace::Trace trace;
+
+  explicit TraceRun(const Ctx& c)
+      : cfg{.nodes = c.req.cfg.nodes, .trace_mode = true},
+        m(cfg),
+        lp(c.prog, m) {
+    m.set_cancel_flag(c.cancel);
     trace::TraceWriter w;
     m.set_trace_writer(&w);
     w.set_labels(m.heap().trace_labels());
     m.run([&](sim::Proc& p) { lp.run_node(p); });
-    t = w.take();
+    trace = w.take();
+    m.set_trace_writer(nullptr);  // `w` (and its epoch buffers) dies here
   }
-  const srcann::AnnotateResult res =
-      srcann::annotate(prog, t, lp, cfg.cache, {.mode = req.cfg.mode});
-  r.out = lang::unparse(res.program);
-  char line[160];
-  std::snprintf(line, sizeof line,
-                "# cachier: %zu annotations, %zu generated loops, %zu "
-                "dropped, %zu races, %zu false-sharing blocks\n",
-                res.inserted, res.generated_loops, res.dropped, res.races,
-                res.false_shares);
-  r.diags.emplace_back(line);
-  if (!res.lint.diagnostics.empty()) {
-    std::ostringstream ss;
-    analysis::print_text(ss, "<annotated>", res.lint);
-    r.diags.push_back("# cachier: self-lint:\n" + ss.str());
-    if (res.lint.exit_code() == 2) r.exit = 2;
-  }
+};
+
+srcann::AnnotateResult trace_annotate(const Ctx& c) {
+  const TraceRun t(c);
+  return srcann::annotate(c.prog, t.trace, t.lp, t.cfg.cache,
+                          {.mode = c.req.cfg.mode});
 }
 
-void do_lint(const JobRequest& req, JobResult& r) {
-  const lang::Program prog = lang::parse(req.source);
-  const analysis::LintResult res = analysis::lint(prog);
-  std::ostringstream ss;
-  analysis::print_text(ss, req.name, res);
-  r.out = ss.str();
-  if (req.cfg.want_report) {
-    r.report = analysis::lint_json(req.name, res).dump_string();
-  }
-  r.exit = res.exit_code();
-}
-
-void do_run(const JobRequest& req, const std::atomic<bool>* cancel,
-            JobResult& r) {
-  const lang::Program prog = lang::parse(req.source);
-  sim::DirectivePlan plan;
-  const sim::DirectivePlan* pp = nullptr;
-  if (!req.plan_text.empty()) {
-    std::istringstream in(req.plan_text);
-    plan = sim::load_plan(in);
-    pp = &plan;
-  }
-  const sim::SimConfig cfg = sim_config(req.cfg);
-  obs::Collector col;
-  sim::Machine m(cfg);
-  m.set_cancel_flag(cancel);
-  lang::LoadedProgram lp(prog, m);
-  if (pp != nullptr) m.set_plan(pp);
-  if (req.cfg.want_report) m.set_observer(&col);
-  m.run([&](sim::Proc& p) { lp.run_node(p); });
-  r.out = format_run_stats(m, cfg);
-  if (req.cfg.want_report) {
-    obs::Json run_j =
-        obs::run_json("run", m.exec_time(), m.epochs_completed(), m.stats(),
-                      m.network(), col);
-    std::vector<obs::Json> runs;
-    runs.push_back(std::move(run_j));
-    const obs::Json rep = obs::make_report(
-        "run",
-        obs::config_json(cfg, protocol_name(cfg.protocol), req.cfg.faults),
-        std::move(runs));
-    std::ostringstream os;
-    rep.dump(os);
-    r.report = os.str();
-  }
-}
-
-void do_trace(const JobRequest& req, const std::atomic<bool>* cancel,
-              JobResult& r) {
-  const lang::Program prog = lang::parse(req.source);
-  const Traced t = trace_program(prog, req.cfg.nodes, cancel);
-  std::ostringstream os;
-  trace::save_text(t.trace, os);
-  r.out = os.str();
-}
-
-void do_report(const JobRequest& req, const std::atomic<bool>* cancel,
-               JobResult& r) {
-  const lang::Program prog = lang::parse(req.source);
-  r.out = trace_program(prog, req.cfg.nodes, cancel).report;
-}
-
-void do_plan(const JobRequest& req, const std::atomic<bool>* cancel,
-             JobResult& r) {
-  const lang::Program prog = lang::parse(req.source);
-  const trace::Trace t = job_trace(req, prog, cancel);
-  sim::SimConfig cfg;
-  cachier::PlanBuilder pb(t, cfg.cache);
-  const sim::DirectivePlan plan = pb.build({.mode = req.cfg.mode});
-  std::ostringstream os;
-  sim::save_plan(plan, os);
-  r.out = os.str();
-}
-
-}  // namespace
-
-bool known_command(std::string_view cmd) {
-  return cmd == "annotate" || cmd == "lint" || cmd == "run" ||
-         cmd == "trace" || cmd == "report" || cmd == "plan";
-}
-
-std::string cache_key(const JobRequest& req) {
-  common::ContentHasher h;
-  h << req.command << req.name << req.source << req.trace_text
-    << req.plan_text << std::to_string(req.cfg.nodes)
-    << cachier::mode_name(req.cfg.mode) << req.cfg.faults
-    << (req.cfg.paranoid ? "1" : "0") << (req.cfg.want_report ? "1" : "0");
-  return h.hex();
-}
-
-JobResult run_job(const JobRequest& req, const std::atomic<bool>* cancel) {
-  JobResult r;
-  if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-    r.cancelled = true;
-    r.exit = 2;
-    r.error = "run cancelled (deadline or client gone)";
-    return r;
-  }
-  try {
-    if (req.command == "annotate") {
-      do_annotate(req, cancel, r);
-    } else if (req.command == "lint") {
-      do_lint(req, r);
-    } else if (req.command == "run") {
-      do_run(req, cancel, r);
-    } else if (req.command == "trace") {
-      do_trace(req, cancel, r);
-    } else if (req.command == "report") {
-      do_report(req, cancel, r);
-    } else if (req.command == "plan") {
-      do_plan(req, cancel, r);
-    } else {
-      throw std::runtime_error("unknown job command: " + req.command);
-    }
-  } catch (const sim::SimCancelled& e) {
-    r = JobResult{};
-    r.cancelled = true;
-    r.exit = 2;
-    r.error = e.what();
-  } catch (const std::exception& e) {
-    r = JobResult{};
-    r.exit = 2;
-    r.error = e.what();
-  }
-  return r;
-}
-
+/// The deterministic stats block `cachier run` prints.
 std::string format_run_stats(const sim::Machine& m,
                              const sim::SimConfig& cfg) {
   std::string os;
-  char buf[128];
-  std::snprintf(buf, sizeof buf, "nodes:            %u\n", cfg.nodes);
-  os += buf;
-  std::snprintf(buf, sizeof buf, "execution time:   %llu cycles\n",
-                static_cast<unsigned long long>(m.exec_time()));
-  os += buf;
-  std::snprintf(buf, sizeof buf, "epochs:           %u\n",
-                m.epochs_completed());
-  os += buf;
+  const auto row = [&](std::string_view name, std::uint64_t v,
+                       const char* unit) {
+    char buf[128];
+    std::snprintf(buf, sizeof buf, "%-17s %llu%s\n",
+                  (std::string(name) + ":").c_str(),
+                  static_cast<unsigned long long>(v), unit);
+    os += buf;
+  };
+  row("nodes", cfg.nodes, "");
+  row("execution time", m.exec_time(), " cycles");
+  row("epochs", m.epochs_completed(), "");
   std::vector<Stat> shown = {
       Stat::SharedLoads,   Stat::SharedStores, Stat::ReadMisses,
       Stat::WriteMisses,   Stat::WriteFaults,  Stat::Traps,
@@ -260,13 +99,281 @@ std::string format_run_stats(const sim::Machine& m,
                  {Stat::MsgDropped, Stat::MsgDuplicated, Stat::Retries,
                   Stat::PrefetchThrottled, Stat::WatchdogTrips});
   }
-  for (const Stat s : shown) {
-    std::snprintf(buf, sizeof buf, "%-17s %llu\n",
-                  (std::string(stat_name(s)) + ":").c_str(),
-                  static_cast<unsigned long long>(m.stats().total(s)));
-    os += buf;
-  }
+  for (const Stat s : shown) row(stat_name(s), m.stats().total(s), "");
   return os;
+}
+
+/// Observation of one measured run: a Collector only when the request
+/// asked for something it feeds, plus the in-process epoch sidecar.
+struct Observed {
+  std::unique_ptr<obs::Collector> col;
+  std::unique_ptr<obs::EpochStreamWriter> stream;
+  obs::Json run;
+  std::string splice_id;
+};
+
+Observed observe(const Ctx& c, bool events, std::size_t index) {
+  Observed o;
+  o.splice_id = "epochs" + std::to_string(index);
+  if (!c.req.cfg.want_report && !events) return o;
+  o.col = std::make_unique<obs::Collector>();
+  o.col->set_events_enabled(events);
+  if (c.req.cfg.want_report && !c.stream_report.empty()) {
+    o.stream = std::make_unique<obs::EpochStreamWriter>(c.stream_report +
+                                                        "." + o.splice_id);
+    o.col->set_epoch_sink(o.stream.get());
+  }
+  return o;
+}
+
+/// One measured run: appends the stats block to r.out and the host-time
+/// line to r.host, and fills o.run when observed.
+Cycle measure(const Ctx& c, const lang::Program& prog,
+              const sim::SimConfig& cfg, const sim::DirectivePlan* plan,
+              Observed& o, std::string_view name, JobResult& r) {
+  sim::Machine m(cfg);
+  m.set_cancel_flag(c.cancel);
+  lang::LoadedProgram lp(prog, m);
+  if (plan != nullptr) m.set_plan(plan);
+  if (o.col != nullptr) m.set_observer(o.col.get());
+  m.run([&](sim::Proc& p) { lp.run_node(p); });
+  if (o.col != nullptr) {
+    o.run = obs::run_json(name, m.exec_time(), m.epochs_completed(),
+                          m.stats(), m.network(), *o.col, o.splice_id);
+  }
+  r.out += format_run_stats(m, cfg);
+  char line[128];
+  std::snprintf(line, sizeof line,
+                "# host: total=%.3fs boundary=%.3fs window=%.3fs\n",
+                m.host_total_seconds(), m.host_boundary_seconds(),
+                m.host_total_seconds() - m.host_boundary_seconds());
+  r.host += line;
+  return m.exec_time();
+}
+
+/// Renders the events of the last run into r.events and the report of
+/// `runs` (a compare when there are two) into r.report -- or, when
+/// streaming, straight into the local report file with each sidecar
+/// spliced back in.
+void emit(const Ctx& c, std::string_view kind, const sim::SimConfig& cfg,
+          const std::vector<Observed*>& runs, JobResult& r) {
+  const JobConfig& jc = c.req.cfg;
+  if (jc.want_events) {
+    std::ostringstream os;
+    runs.back()->col->write_chrome_trace(os);
+    r.events = os.str();
+  }
+  if (!jc.want_report) return;
+  const obs::Json cmp = runs.size() == 2 ? obs::comparison_json(
+                                               runs[0]->run, runs[1]->run)
+                                         : obs::Json();
+  std::vector<obs::Json> run_docs;
+  for (Observed* o : runs) run_docs.push_back(std::move(o->run));
+  obs::Json rep = obs::make_report(
+      kind, obs::config_json(cfg, "dir1sw", jc.faults), std::move(run_docs));
+  if (runs.size() == 2) rep.set("comparison", cmp);
+  if (c.stream_report.empty()) {
+    r.report = rep.dump_string();
+    return;
+  }
+  std::ofstream out(c.stream_report);
+  if (!out) throw std::runtime_error("cannot write " + c.stream_report);
+  rep.dump(out, [&](std::ostream& os, std::string_view id) {
+    for (Observed* o : runs) {
+      if (o->splice_id == id) o->stream->splice_into(os);
+    }
+  });
+}
+
+void do_annotate(const Ctx& c, JobResult& r) {
+  const JobConfig& jc = c.req.cfg;
+  const srcann::AnnotateResult res =
+      jc.static_mode
+          ? srcann::annotate_static(
+                c.prog, jc.nodes, {.mode = jc.mode, .prefetch = jc.prefetch})
+          : trace_annotate(c);
+  r.out = lang::unparse(res.program);
+  char line[160];
+  std::snprintf(line, sizeof line,
+                "# cachier: %zu annotations, %zu generated loops, %zu "
+                "dropped, %zu races, %zu false-sharing blocks\n",
+                res.inserted, res.generated_loops, res.dropped, res.races,
+                res.false_shares);
+  r.diags.emplace_back(line);
+  // Self-lint oracle: Cachier's own output must satisfy the CICO rules.
+  // A diagnostic here is an annotator bug, so errors fail the command.
+  if (!res.lint.diagnostics.empty()) {
+    std::ostringstream ss;
+    analysis::print_text(ss, "<annotated>", res.lint);
+    r.diags.push_back("# cachier: self-lint:\n" + ss.str());
+    if (res.lint.exit_code() == 2) r.exit = 2;
+  }
+}
+
+void do_lint(const Ctx& c, JobResult& r) {
+  const std::string& name = c.req.name;
+  const auto text = [&](const analysis::LintResult& lint) {
+    std::ostringstream ss;
+    analysis::print_text(ss, name, lint);
+    return ss.str();
+  };
+  analysis::LintResult lint;
+  if (c.req.cfg.fix) {
+    analysis::FixResult res = analysis::apply_fixes(c.prog);
+    r.out = lang::unparse(res.program);
+    r.diags.push_back("# cachier: fix: " + std::to_string(res.applied) +
+                      " fixes in " + std::to_string(res.passes) +
+                      " passes\n");
+    for (const std::string& line : res.log) {
+      r.diags.push_back("# cachier: fix: " + line + "\n");
+    }
+    lint = std::move(res.lint);
+    if (!lint.diagnostics.empty()) {
+      r.diags.push_back("# cachier: fix: residual diagnostics:\n" +
+                        text(lint));
+    }
+    // The fix contract is all-or-nothing: anything left unfixed is a
+    // hard failure so CI can gate on it.
+    r.exit = lint.diagnostics.empty() ? 0 : 2;
+  } else {
+    lint = analysis::lint(c.prog);
+    r.out = text(lint);
+    r.exit = lint.exit_code();
+  }
+  if (c.req.cfg.want_report) {
+    r.report = analysis::lint_json(name, lint).dump_string();
+  }
+}
+
+void do_run(const Ctx& c, JobResult& r) {
+  sim::DirectivePlan plan;
+  const sim::DirectivePlan* pp = nullptr;
+  if (!c.req.plan_text.empty()) {
+    std::istringstream in(c.req.plan_text);
+    plan = sim::load_plan(in);
+    pp = &plan;
+  }
+  const sim::SimConfig cfg = sim_config(c.req.cfg);
+  Observed o = observe(c, c.req.cfg.want_events, 0);
+  measure(c, c.prog, cfg, pp, o, "run", r);
+  emit(c, "run", cfg, {&o}, r);
+}
+
+void do_compare(const Ctx& c, JobResult& r) {
+  const srcann::AnnotateResult res = trace_annotate(c);
+  const lang::Program annotated = lang::parse(lang::unparse(res.program));
+  const sim::SimConfig cfg = sim_config(c.req.cfg);
+  Observed base = observe(c, false, 0);
+  // --events on compare exports the ANNOTATED run (one trace per file).
+  Observed anno = observe(c, c.req.cfg.want_events, 1);
+  r.out = "-- unannotated --\n";
+  const Cycle t_base = measure(c, c.prog, cfg, nullptr, base, "baseline", r);
+  r.out += "-- " + std::string(cachier::mode_name(c.req.cfg.mode)) +
+           " CICO (" + std::to_string(res.inserted) + " annotations) --\n";
+  const Cycle t_anno =
+      measure(c, annotated, cfg, nullptr, anno, "annotated", r);
+  char line[64];
+  std::snprintf(line, sizeof line, "\nnormalized execution time: %.3f\n",
+                static_cast<double>(t_anno) / static_cast<double>(t_base));
+  r.out += line;
+  emit(c, "compare", cfg, {&base, &anno}, r);
+}
+
+void do_trace(const Ctx& c, JobResult& r) {
+  const TraceRun t(c);
+  std::ostringstream os;
+  trace::save_text(t.trace, os);
+  r.out = os.str();
+}
+
+void do_report(const Ctx& c, JobResult& r) {
+  TraceRun t(c);
+  const cachier::SharingAnalyzer sa(t.trace, t.cfg.cache);
+  r.out = sa.report(t.trace, t.m.pcs());
+}
+
+void do_plan(const Ctx& c, JobResult& r) {
+  const TraceRun t(c);
+  cachier::PlanBuilder pb(t.trace, t.cfg.cache);
+  const sim::DirectivePlan plan = pb.build({.mode = c.req.cfg.mode});
+  std::ostringstream os;
+  sim::save_plan(plan, os);
+  r.out = os.str();
+}
+
+struct Command {
+  std::string_view name;
+  void (*run)(const Ctx&, JobResult&);
+};
+
+constexpr Command kCommands[] = {
+    {"annotate", do_annotate}, {"lint", do_lint},     {"run", do_run},
+    {"compare", do_compare},   {"trace", do_trace},   {"report", do_report},
+    {"plan", do_plan},
+};
+
+const Command* find_command(std::string_view name) {
+  for (const Command& cmd : kCommands) {
+    if (cmd.name == name) return &cmd;
+  }
+  return nullptr;
+}
+
+/// The boolean JobConfig switches and their `config` keys.  One table
+/// drives the submit codec and the cache key.
+struct Flag {
+  std::string_view key;
+  bool JobConfig::*field;
+};
+
+constexpr Flag kFlags[] = {
+    {"paranoid", &JobConfig::paranoid}, {"static", &JobConfig::static_mode},
+    {"prefetch", &JobConfig::prefetch}, {"fix", &JobConfig::fix},
+    {"report", &JobConfig::want_report}, {"events", &JobConfig::want_events},
+};
+
+}  // namespace
+
+bool known_command(std::string_view cmd) {
+  return find_command(cmd) != nullptr;
+}
+
+std::string cache_key(const JobRequest& req) {
+  common::ContentHasher h;
+  h << req.command << req.name << req.source << req.plan_text
+    << std::to_string(req.cfg.nodes) << cachier::mode_name(req.cfg.mode)
+    << req.cfg.faults;
+  for (const Flag& f : kFlags) h << (req.cfg.*f.field ? "1" : "0");
+  return h.hex();
+}
+
+JobResult run_job(const JobRequest& req, const std::atomic<bool>* cancel,
+                  const std::string& stream_report) {
+  JobResult r;
+  if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+    r.cancelled = true;
+    r.exit = 2;
+    r.error = "run cancelled (deadline or client gone)";
+    return r;
+  }
+  try {
+    const Command* cmd = find_command(req.command);
+    if (cmd == nullptr) {
+      throw std::runtime_error("unknown job command: " + req.command);
+    }
+    const lang::Program prog = lang::parse(req.source);
+    cmd->run(Ctx{req, prog, cancel, stream_report}, r);
+  } catch (const sim::SimCancelled& e) {
+    r = JobResult{};
+    r.cancelled = true;
+    r.exit = 2;
+    r.error = e.what();
+  } catch (const std::exception& e) {
+    r = JobResult{};
+    r.exit = 2;
+    r.error = e.what();
+  }
+  return r;
 }
 
 // --- JSON (de)serialization ------------------------------------------------
@@ -317,14 +424,14 @@ obs::Json submit_frame(const JobRequest& req) {
   f.set("command", Json::string(req.command));
   f.set("name", Json::string(req.name));
   f.set("source", Json::string(req.source));
-  if (!req.trace_text.empty()) f.set("trace", Json::string(req.trace_text));
   if (!req.plan_text.empty()) f.set("plan", Json::string(req.plan_text));
   Json cfg = Json::object();
   cfg.set("nodes", Json::number(static_cast<std::uint64_t>(req.cfg.nodes)));
   cfg.set("mode", Json::string(cachier::mode_name(req.cfg.mode)));
   cfg.set("faults", Json::string(req.cfg.faults));
-  cfg.set("paranoid", Json::boolean(req.cfg.paranoid));
-  cfg.set("report", Json::boolean(req.cfg.want_report));
+  for (const Flag& fl : kFlags) {
+    cfg.set(fl.key, Json::boolean(req.cfg.*fl.field));
+  }
   cfg.set("deadline_ms", Json::number(req.cfg.deadline_ms));
   f.set("config", std::move(cfg));
   return f;
@@ -338,7 +445,6 @@ JobRequest parse_submit(const obs::Json& frame) {
   }
   req.name = get_string(frame, "name");
   req.source = get_string(frame, "source", /*required=*/true);
-  req.trace_text = get_string(frame, "trace");
   req.plan_text = get_string(frame, "plan");
   const Json* cfg = frame.find("config");
   if (cfg != nullptr) {
@@ -360,10 +466,11 @@ JobRequest parse_submit(const obs::Json& frame) {
       throw std::runtime_error("config.mode unknown: " + mode);
     }
     req.cfg.faults = get_string(*cfg, "faults");
-    req.cfg.paranoid = get_bool(*cfg, "paranoid", false);
-    // Older clients still send config.boundary_threads; like any unknown
-    // key it is ignored.
-    req.cfg.want_report = get_bool(*cfg, "report", false);
+    for (const Flag& fl : kFlags) {
+      req.cfg.*fl.field = get_bool(*cfg, fl.key, false);
+    }
+    // Older clients still send a saved "trace" or config.boundary_threads;
+    // like any unknown key they are ignored.
     req.cfg.deadline_ms = get_u64(*cfg, "deadline_ms", 0);
   }
   return req;
@@ -372,8 +479,9 @@ JobRequest parse_submit(const obs::Json& frame) {
 obs::Json job_result_json(const JobResult& res) {
   Json j = Json::object();
   j.set("exit", Json::number(static_cast<std::int64_t>(res.exit)));
-  j.set("stdout", Json::string(res.out));
-  j.set("report", Json::string(res.report));
+  for (const Payload& p : kPayloads) {
+    j.set(p.key, Json::string(res.*p.field));
+  }
   j.set("error", Json::string(res.error));
   Json diags = Json::array();
   for (const std::string& d : res.diags) diags.push_back(Json::string(d));
@@ -388,8 +496,7 @@ JobResult job_result_from_json(const obs::Json& doc) {
     throw std::runtime_error("result: missing exit code");
   }
   res.exit = static_cast<int>(exit->as_u64());
-  res.out = get_string(doc, "stdout");
-  res.report = get_string(doc, "report");
+  for (const Payload& p : kPayloads) res.*p.field = get_string(doc, p.key);
   res.error = get_string(doc, "error");
   const Json* diags = doc.find("diags");
   if (diags != nullptr && diags->type() == Json::Type::Array) {

@@ -1,13 +1,13 @@
-// Job model shared by cachierd and the `cachier --daemon` client mode.
+// The command core shared by the `cachier` CLI and cachierd.
 //
-// A job is one CLI-equivalent request: a command (annotate / lint / run /
-// trace / report / plan), the MiniPar source, an optional pre-recorded
-// miss trace, an optional directive plan, and the deterministic subset of
-// the simulator configuration.  run_job() executes it IN-PROCESS and
-// returns the exact bytes a one-shot `cachier <command>` would have
-// printed -- that equivalence is the content-addressed cache's contract
-// (a cache hit must be indistinguishable from a fresh run) and is pinned
-// by tests/integration/daemon_cli_test.cpp.
+// A job is one program command (annotate, lint, run, compare, trace,
+// report, plan) over a MiniPar source, an optional directive plan, and
+// the deterministic subset of the simulator configuration.  run_job() is
+// the only code that executes one: the one-shot CLI calls it in-process,
+// cachierd in a worker, and both print the same bytes.  That equivalence
+// is the content-addressed cache's contract (a cache hit must be
+// indistinguishable from a fresh run), pinned by
+// tests/integration/daemon_cli_test.cpp.
 #pragma once
 
 #include <atomic>
@@ -18,11 +18,6 @@
 
 #include "cico/cachier/chooser.hpp"
 #include "cico/obs/json.hpp"
-#include "cico/sim/config.hpp"
-
-namespace cico::sim {
-class Machine;
-}
 
 namespace cico::daemon {
 
@@ -33,17 +28,20 @@ struct JobConfig {
   cachier::Mode mode = cachier::Mode::Performance;
   std::string faults;        ///< FaultSpec text; empty = faults disabled
   bool paranoid = false;
-  bool want_report = false;  ///< produce the --report JSON in JobResult
+  bool static_mode = false;  ///< annotate --static: trace-free planning
+  bool prefetch = false;     ///< annotate --static --prefetch
+  bool fix = false;          ///< lint --fix: print the fixed source
+  bool want_report = false;  ///< run/compare --report, lint --json
+  bool want_events = false;  ///< run/compare --events (Chrome trace)
   /// Wall-clock budget for this job in milliseconds; 0 = server default.
   /// NOT part of the cache key: it bounds host time, not simulated state.
   std::uint64_t deadline_ms = 0;
 };
 
 struct JobRequest {
-  std::string command;     ///< annotate|lint|run|trace|report|plan
+  std::string command;     ///< annotate|lint|run|compare|trace|report|plan
   std::string name;        ///< client-side file name (appears in lint text)
   std::string source;      ///< MiniPar source text
-  std::string trace_text;  ///< optional saved trace (annotate/plan reuse it)
   std::string plan_text;   ///< optional directive plan (run)
   JobConfig cfg;
 };
@@ -54,16 +52,30 @@ struct JobResult {
   bool cancelled = false;  ///< deadline expired or client gone; never cached
   std::string key;         ///< content-addressed cache key (hex)
   std::string out;         ///< deterministic stdout bytes
-  std::string report;      ///< --report JSON bytes (want_report)
+  std::string report;      ///< --report / lint --json bytes (want_report)
+  std::string events;      ///< --events Chrome trace bytes (want_events)
   std::string error;       ///< program-error message (exit == 2)
   std::vector<std::string> diags;  ///< stderr lines, in emit order
+  /// The `# host:` stderr lines of run/compare.  Host wall-clock is not
+  /// deterministic, so this is never serialized or cached.
+  std::string host;
 };
+
+/// A byte payload of JobResult and its JSON key.  This one table drives
+/// the result codec and the result cache's content-addressed store tier.
+struct Payload {
+  std::string_view key;
+  std::string JobResult::*field;
+};
+inline constexpr Payload kPayloads[] = {{"stdout", &JobResult::out},
+                                        {"report", &JobResult::report},
+                                        {"events", &JobResult::events}};
 
 /// True for the commands a daemon job may name.
 [[nodiscard]] bool known_command(std::string_view cmd);
 
 /// Content-addressed cache key: a 128-bit hash over (command, name,
-/// source, trace, plan, deterministic config).  deadline_ms is excluded:
+/// source, plan, deterministic config).  deadline_ms is excluded:
 /// it bounds host time only, so cached results are shared across
 /// deadlines.
 [[nodiscard]] std::string cache_key(const JobRequest& req);
@@ -73,14 +85,15 @@ struct JobResult {
 /// result comes back cancelled (exit 2, never cacheable).  All other
 /// failures -- parse errors, fault-injection timeouts, deadlocks -- map
 /// to exit 2 with the error message, exactly like the CLI's catch-all.
+///
+/// `stream_report` is for the in-process `--stream-epochs` path only
+/// (cachierd never passes it): the local --report file of a run/compare.
+/// Epoch rows then go to `<stream_report>.epochsN` sidecars as they flush
+/// and the report is written straight to `stream_report` instead of
+/// JobResult::report, so host memory stays O(1) in epoch count.
 [[nodiscard]] JobResult run_job(const JobRequest& req,
-                                const std::atomic<bool>* cancel = nullptr);
-
-/// The deterministic stats block `cachier run` prints (shared so the CLI
-/// and daemon emit identical bytes; the nondeterministic host wall-clock
-/// line stays on the CLI's stderr).
-[[nodiscard]] std::string format_run_stats(const sim::Machine& m,
-                                           const sim::SimConfig& cfg);
+                                const std::atomic<bool>* cancel = nullptr,
+                                const std::string& stream_report = {});
 
 // --- JSON (de)serialization ------------------------------------------------
 

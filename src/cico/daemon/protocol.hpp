@@ -39,7 +39,7 @@ namespace cico::daemon {
 /// above.  The handshake rejects a peer whose protocol (or report/lint
 /// schema) differs, so a fleet can never half-upgrade into silent
 /// misparses.
-inline constexpr std::uint64_t kDaemonProtocolVersion = 1;
+inline constexpr std::uint64_t kDaemonProtocolVersion = 2;
 
 /// Hard ceiling on one frame's payload (sources, traces and reports are
 /// MBs at most; anything larger is garbage or abuse).

@@ -50,13 +50,11 @@ std::optional<JobResult> ResultCache::lookup(const std::string& key) {
         // Resolve content-addressed payloads back inline.  get_object
         // re-verifies the hash, so a corrupt or gc'd object throws and
         // lands in the catch below -- a miss, never corrupt bytes.
-        if (const obs::Json* ref = doc.find("stdout_ref")) {
-          doc.set("stdout",
-                  obs::Json::string(store_->get_object(ref->as_string())));
-        }
-        if (const obs::Json* ref = doc.find("report_ref")) {
-          doc.set("report",
-                  obs::Json::string(store_->get_object(ref->as_string())));
+        for (const Payload& p : kPayloads) {
+          if (const obs::Json* ref = doc.find(std::string(p.key) + "_ref")) {
+            doc.set(p.key,
+                    obs::Json::string(store_->get_object(ref->as_string())));
+          }
         }
         JobResult r = job_result_from_json(doc);
         ++counters_.hits;
@@ -86,9 +84,10 @@ void ResultCache::insert(const std::string& key, const JobResult& r) {
     touch_locked(key);
   } else {
     lru_.push_front(key);
-    map_[key] = Entry{r, lru_.begin()};
-    evict_locked();
+    it = map_.emplace(key, Entry{r, lru_.begin()}).first;
   }
+  it->second.result.host.clear();  // host wall-clock is never cached
+  evict_locked();
   ++counters_.inserts;
   if (!dir_.empty()) {
     // Write-then-rename so a crash mid-write never leaves a half entry
@@ -101,15 +100,12 @@ void ResultCache::insert(const std::string& key, const JobResult& r) {
       // Big payloads go to the content-addressed store tier so identical
       // bytes across keys are stored once (and syncable between hosts).
       try {
-        if (r.out.size() >= kInlineMax) {
-          doc.set("stdout", obs::Json::string(""));
-          doc.set("stdout_ref",
-                  obs::Json::string(store_->put_object(r.out).hash_hex));
-        }
-        if (r.report.size() >= kInlineMax) {
-          doc.set("report", obs::Json::string(""));
-          doc.set("report_ref",
-                  obs::Json::string(store_->put_object(r.report).hash_hex));
+        for (const Payload& p : kPayloads) {
+          const std::string& bytes = r.*p.field;
+          if (bytes.size() < kInlineMax) continue;
+          doc.set(p.key, obs::Json::string(""));
+          doc.set(std::string(p.key) + "_ref",
+                  obs::Json::string(store_->put_object(bytes).hash_hex));
         }
       } catch (const std::exception&) {
         return;  // store tier unavailable: keep the memory tier only

@@ -6,9 +6,10 @@
 // Unobtrusive Property Caching", PAPERS.md).
 //
 // Keys are the 128-bit content hashes of job.hpp's cache_key().  Entries
-// hold the complete JobResult (stdout bytes, report JSON, diagnostics,
-// exit code), so a hit is byte-identical to the fresh run that populated
-// it -- the property the daemon soak test and the CI daemon-gate pin.
+// hold the complete JobResult (stdout bytes, report JSON, events,
+// diagnostics, exit code; never the host-time lines), so a hit is
+// byte-identical to the fresh run that populated it -- the property the
+// daemon soak test and the CI daemon-gate pin.
 //
 // Two tiers: a bounded in-memory hot set (LRU-evicted) and, when a cache
 // directory is configured, one JSON file per key that survives daemon
@@ -16,14 +17,14 @@
 // quietly reloads from disk.  flush_index() writes a human-readable
 // index of the file tier; the daemon calls it during graceful drain.
 //
-// Large result payloads (stdout bytes, report JSON) are not inlined in
-// the per-key file: they go into a content-addressed ObjectStore under
-// <dir>/store, and the entry carries their hashes.  Different keys whose
-// jobs produced the same bytes -- e.g. the same source at two deadline
-// settings, or a report that did not change across a config tweak --
-// share one object, and `cachier sync` can move the store tier between
-// hosts.  A missing or corrupt object turns the lookup into a miss, same
-// as a corrupt entry file.
+// Large result payloads (job.hpp's kPayloads: stdout, report, events) are
+// not inlined in the per-key file: they go into a content-addressed
+// ObjectStore under <dir>/store, and the entry carries their hashes
+// (`stdout_ref`, ...).  Different keys whose jobs produced the same bytes
+// -- e.g. the same source at two deadline settings, or a report that did
+// not change across a config tweak -- share one object, and `cachier sync`
+// can move the store tier between hosts.  A missing or corrupt object turns
+// the lookup into a miss, same as a corrupt entry file.
 #pragma once
 
 #include <cstdint>

@@ -311,15 +311,20 @@ void Server::serve(const std::shared_ptr<Job>& job) {
   const int fd = job->fd.get();
   const std::string key = cache_key(job->req);
 
-  if (std::optional<JobResult> hit = cache_.lookup(key)) {
-    c_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    bool ok = try_send(fd, status_frame("cached"));
-    for (const std::string& d : hit->diags) {
+  // Sends the diagnostics, then the result frame; `ok` false means an
+  // earlier send already failed.
+  const auto reply = [&](const JobResult& res, bool ok) {
+    for (const std::string& d : res.diags) {
       ok = ok && try_send(fd, diag_frame(d));
     }
-    ok = ok && try_send(fd, result_frame(*hit));
+    ok = ok && try_send(fd, result_frame(res));
     if (!ok) c_disconnects_.fetch_add(1, std::memory_order_relaxed);
     c_completed_.fetch_add(1, std::memory_order_relaxed);
+  };
+
+  if (std::optional<JobResult> hit = cache_.lookup(key)) {
+    c_cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    reply(*hit, try_send(fd, status_frame("cached")));
     log("cache hit " + key.substr(0, 12) + " (" + job->req.command + ")");
     return;
   }
@@ -352,12 +357,7 @@ void Server::serve(const std::shared_ptr<Job>& job) {
 
   cache_.insert(key, res);
   if (res.exit == 2) c_failed_.fetch_add(1, std::memory_order_relaxed);
-
-  bool ok = true;
-  for (const std::string& d : res.diags) ok = ok && try_send(fd, diag_frame(d));
-  ok = ok && try_send(fd, result_frame(res));
-  if (!ok) c_disconnects_.fetch_add(1, std::memory_order_relaxed);
-  c_completed_.fetch_add(1, std::memory_order_relaxed);
+  reply(res, true);
   log("job done (" + job->req.command + ") exit=" + std::to_string(res.exit) +
       " key=" + key.substr(0, 12));
 }

@@ -39,14 +39,10 @@ struct SimConfig {
   /// Paranoid mode (--paranoid): run the protocol's check_invariants() at
   /// every epoch boundary and abort with InvariantViolation on the first
   /// directory/cache divergence.
+  /// Per-epoch audits recheck only blocks whose directory entries were
+  /// touched since the last clean audit; the end-of-run audit always does
+  /// the full walk as a backstop.
   bool audit_invariants = false;
-
-  /// Memoize paranoid audits (--no-audit-memo disables): per-epoch audits
-  /// recheck only blocks whose directory entries were touched since the
-  /// last clean audit; the end-of-run audit always does the full walk as
-  /// a backstop.  Pure performance knob -- detected violations and all
-  /// deterministic output are identical either way.
-  bool audit_memo = true;
 
   /// Liveness watchdog: abort with SimDeadlock after this many consecutive
   /// boundary rounds with zero virtual-time progress (0 disables it --

@@ -1022,9 +1022,8 @@ void Machine::reliable_post_store(NodeId n, Block b, Cycle t) {
 }
 
 void Machine::audit_now(const std::string& when, bool full) {
-  const std::string diag = full || !cfg_.audit_memo
-                               ? dir_->check_invariants()
-                               : dir_->check_invariants_incremental();
+  const std::string diag = full ? dir_->check_invariants()
+                                : dir_->check_invariants_incremental();
   if (diag.empty()) return;
   std::ostringstream os;
   os << "invariant audit failed (" << when << "):\n" << diag;

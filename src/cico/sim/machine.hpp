@@ -337,7 +337,7 @@ class Machine {
   /// Paranoid-mode audit; aborts with InvariantViolation on divergence.
   /// Per-epoch audits run memoized (only blocks touched since the last
   /// clean audit are rechecked); `full` forces the exhaustive walk, used
-  /// as the end-of-run backstop and when SimConfig::audit_memo is off.
+  /// as the end-of-run backstop.
   void audit_now(const std::string& when, bool full);
   [[nodiscard]] std::string wait_dump() const;
 

@@ -165,6 +165,13 @@ TEST(CacheKey, SensitiveToOutputChangingInputs) {
   other = base;
   other.cfg.faults = "drop=0.01,seed=1";
   EXPECT_NE(cache_key(base), cache_key(other));
+  for (bool JobConfig::*flag :
+       {&JobConfig::static_mode, &JobConfig::prefetch, &JobConfig::fix,
+        &JobConfig::want_report, &JobConfig::want_events}) {
+    other = base;
+    other.cfg.*flag = true;
+    EXPECT_NE(cache_key(base), cache_key(other));
+  }
 }
 
 TEST(CacheKey, InsensitiveToHostOnlyKnobs) {
@@ -216,34 +223,41 @@ TEST(Version, MissingSchemasIsRejected) {
 TEST(JobJson, SubmitRoundTrips) {
   JobRequest req = make_req("run");
   req.plan_text = "plan bytes";
-  req.trace_text = "trace bytes";
   req.cfg.mode = cachier::Mode::Programmer;
   req.cfg.faults = "drop=0.5,seed=9";
   req.cfg.paranoid = true;
+  req.cfg.static_mode = true;
+  req.cfg.prefetch = true;
+  req.cfg.fix = true;
   req.cfg.want_report = true;
+  req.cfg.want_events = true;
   req.cfg.deadline_ms = 777;
   const JobRequest got = parse_submit(submit_frame(req));
   EXPECT_EQ(got.command, req.command);
   EXPECT_EQ(got.name, req.name);
   EXPECT_EQ(got.source, req.source);
-  EXPECT_EQ(got.trace_text, req.trace_text);
   EXPECT_EQ(got.plan_text, req.plan_text);
   EXPECT_EQ(got.cfg.nodes, req.cfg.nodes);
   EXPECT_EQ(got.cfg.mode, req.cfg.mode);
   EXPECT_EQ(got.cfg.faults, req.cfg.faults);
   EXPECT_EQ(got.cfg.paranoid, req.cfg.paranoid);
+  EXPECT_EQ(got.cfg.static_mode, req.cfg.static_mode);
+  EXPECT_EQ(got.cfg.prefetch, req.cfg.prefetch);
+  EXPECT_EQ(got.cfg.fix, req.cfg.fix);
   EXPECT_EQ(got.cfg.want_report, req.cfg.want_report);
+  EXPECT_EQ(got.cfg.want_events, req.cfg.want_events);
   EXPECT_EQ(got.cfg.deadline_ms, req.cfg.deadline_ms);
 }
 
-TEST(JobJson, SubmitIgnoresRetiredBoundaryThreads) {
-  // Older clients send config.boundary_threads; it must parse and change
-  // neither the request nor its cache key.
+TEST(JobJson, SubmitIgnoresRetiredKeys) {
+  // Older clients send config.boundary_threads and a saved "trace"; both
+  // must parse and change neither the request nor its cache key.
   const JobRequest req = make_req("run");
   obs::Json frame = submit_frame(req);
   obs::Json cfg = *frame.find("config");
   cfg.set("boundary_threads", obs::Json::number(std::uint64_t{4}));
   frame.set("config", std::move(cfg));
+  frame.set("trace", obs::Json::string("trace bytes"));
   const JobRequest got = parse_submit(frame);
   EXPECT_EQ(got.cfg.nodes, req.cfg.nodes);
   EXPECT_EQ(cache_key(got), cache_key(req));
@@ -264,24 +278,22 @@ TEST(JobJson, ResultRoundTrips) {
   res.key = "abc123";
   res.out = "stdout bytes\nwith\nnewlines";
   res.report = "{\"x\": 1}";
+  res.events = "{\"traceEvents\": []}";
   res.error = "";
   res.diags = {"# line one\n", "# line two\n"};
+  res.host = "# host: total=0.001s\n";
   const JobResult got = parse_result(result_frame(res));
   EXPECT_EQ(got.exit, res.exit);
   EXPECT_EQ(got.cached, res.cached);
   EXPECT_EQ(got.key, res.key);
   EXPECT_EQ(got.out, res.out);
   EXPECT_EQ(got.report, res.report);
+  EXPECT_EQ(got.events, res.events);
   EXPECT_EQ(got.diags, res.diags);
+  EXPECT_EQ(got.host, "") << "host timing must never be serialized";
 }
 
 // --- in-process job runner -------------------------------------------------
-
-TEST(RunJob, RunMatchesExitContract) {
-  const JobResult r = run_job(make_req("run"));
-  EXPECT_EQ(r.exit, 0) << r.error;
-  EXPECT_NE(r.out.find("execution time:"), std::string::npos) << r.out;
-}
 
 TEST(RunJob, ParseErrorIsExitTwoNotThrow) {
   JobRequest req = make_req("run");
@@ -306,6 +318,25 @@ TEST(RunJob, AnnotateEmitsSummaryDiag) {
   EXPECT_NE(r.diags[0].find("# cachier:"), std::string::npos) << r.diags[0];
 }
 
+TEST(RunJob, PayloadsOnlyWhenAsked) {
+  for (const char* cmd : {"run", "compare"}) {
+    JobRequest req = make_req(cmd);
+    JobResult r = run_job(req);
+    EXPECT_EQ(r.exit, 0) << r.error;
+    EXPECT_NE(r.out.find("execution time:"), std::string::npos) << r.out;
+    EXPECT_TRUE(r.report.empty());
+    EXPECT_TRUE(r.events.empty());
+    EXPECT_NE(r.host.find("# host: total="), std::string::npos) << r.host;
+    req.cfg.want_events = true;
+    r = run_job(req);
+    EXPECT_TRUE(r.report.empty());
+    EXPECT_NE(r.events.find("traceEvents"), std::string::npos);
+    req.cfg.want_report = true;
+    r = run_job(req);
+    EXPECT_NE(r.report.find("\"schema_version\""), std::string::npos);
+  }
+}
+
 // --- result cache ----------------------------------------------------------
 
 TEST(ResultCache, MemoryHitIsByteIdentical) {
@@ -314,6 +345,7 @@ TEST(ResultCache, MemoryHitIsByteIdentical) {
   r.exit = 0;
   r.out = "bytes";
   r.diags = {"d1\n"};
+  r.host = "# host: total=0.001s\n";
   cache.insert("k1", r);
   const auto hit = cache.lookup("k1");
   ASSERT_TRUE(hit.has_value());
@@ -321,6 +353,7 @@ TEST(ResultCache, MemoryHitIsByteIdentical) {
   EXPECT_EQ(hit->key, "k1");
   EXPECT_EQ(hit->out, r.out);
   EXPECT_EQ(hit->diags, r.diags);
+  EXPECT_EQ(hit->host, "") << "host timing must never be cached";
   EXPECT_FALSE(cache.lookup("k2").has_value());
   EXPECT_EQ(cache.counters().hits, 1u);
   EXPECT_EQ(cache.counters().misses, 1u);
@@ -391,6 +424,7 @@ TEST(ResultCache, LargePayloadsDedupeThroughArtifactStore) {
     JobResult r;
     r.out = std::string(4096, 'x') + "payload";
     r.report = "{\"big\": \"" + std::string(512, 'r') + "\"}";
+    r.events = std::string(256, 'e');
     cache.insert(std::string(32, 'a'), r);
     cache.insert(std::string(32, 'b'), r);  // same bytes, second key
     ASSERT_NE(cache.artifact_store(), nullptr);
@@ -399,6 +433,7 @@ TEST(ResultCache, LargePayloadsDedupeThroughArtifactStore) {
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(hit->out, r.out);
     EXPECT_EQ(hit->report, r.report);
+    EXPECT_EQ(hit->events, r.events);
   }
   {
     ResultCache fresh(dir);  // restart: refs resolve from the store tier
@@ -411,6 +446,7 @@ TEST(ResultCache, LargePayloadsDedupeThroughArtifactStore) {
   std::ostringstream ss;
   ss << in.rdbuf();
   EXPECT_NE(ss.str().find("stdout_ref"), std::string::npos);
+  EXPECT_NE(ss.str().find("events_ref"), std::string::npos);
   EXPECT_EQ(ss.str().find("payload"), std::string::npos);
   std::filesystem::remove_all(dir);
 }

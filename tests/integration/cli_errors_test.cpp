@@ -142,12 +142,14 @@ TEST_F(CliErrorsTest, ZeroNodeCountIsStillUsageExit1) {
   EXPECT_NE(r.output.find("usage:"), std::string::npos) << r.output;
 }
 
-TEST_F(CliErrorsTest, RetiredBoundaryThreadsFlagIsUsageExit1) {
-  // The simulator runs every node on one host thread; the old flag is now
-  // just an unknown argument.
-  const CmdResult r = run_cli("run " + prog_ + " --boundary-threads x");
-  EXPECT_EQ(r.exit_code, 1);
-  EXPECT_NE(r.output.find("usage:"), std::string::npos) << r.output;
+TEST_F(CliErrorsTest, RetiredFlagsAreUsageExit1) {
+  // The simulator runs every node on one host thread, and paranoid audits
+  // are always memoized; the old flags are now just unknown arguments.
+  for (const char* flag : {" --boundary-threads x", " --no-audit-memo"}) {
+    const CmdResult r = run_cli("run " + prog_ + flag);
+    EXPECT_EQ(r.exit_code, 1) << flag;
+    EXPECT_NE(r.output.find("usage:"), std::string::npos) << r.output;
+  }
 }
 
 TEST_F(CliErrorsTest, BadCampaignsIsExit2) {

@@ -1,6 +1,7 @@
 // End-to-end test of the REAL binaries (paths passed by CTest as argv[1]
-// = cachier, argv[2] = cachierd): a daemon-served `cachier --daemon` run
-// must print byte-identical stdout to the one-shot CLI, cached or fresh;
+// = cachier, argv[2] = cachierd): every program command served through
+// `cachier --daemon` must print byte-identical stdout and write
+// byte-identical files to the one-shot CLI, cached or fresh;
 // `cachier version` prints the schema identity document; SIGTERM drains
 // the daemon cleanly (exit 0, socket removed).
 #include <gtest/gtest.h>
@@ -14,8 +15,10 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 namespace {
 
@@ -91,6 +94,7 @@ class DaemonCliTest : public ::testing::Test {
       EXPECT_NE(stat(sock_.c_str(), &st), 0);
     }
     ::unlink(prog_.c_str());
+    ::unlink("daemon_cli_test.err");
   }
 
   std::string sock_;
@@ -98,43 +102,79 @@ class DaemonCliTest : public ::testing::Test {
   const std::string prog_ = "daemon_cli_test.mp";
 };
 
-TEST_F(DaemonCliTest, DaemonStdoutIsByteIdenticalToOneShot) {
-  const std::string q = "'" + g_cachier + "'";
-  const CmdResult one_shot =
-      run_cmd(q + " run " + prog_ + " -n 4 2>/dev/null");
-  ASSERT_EQ(one_shot.exit_code, 0) << one_shot.output;
-
-  const std::string via_daemon =
-      q + " run " + prog_ + " -n 4 --daemon '" + sock_ + "' 2>/dev/null";
-  const CmdResult fresh = run_cmd(via_daemon);
-  ASSERT_EQ(fresh.exit_code, 0) << fresh.output;
-  EXPECT_EQ(fresh.output, one_shot.output) << "daemon-served bytes diverged";
-
-  const CmdResult cached = run_cmd(via_daemon);  // second run: cache hit
-  ASSERT_EQ(cached.exit_code, 0) << cached.output;
-  EXPECT_EQ(cached.output, one_shot.output) << "cache-served bytes diverged";
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
 }
 
-TEST_F(DaemonCliTest, AnnotateViaDaemonMatchesOneShot) {
-  const std::string q = "'" + g_cachier + "'";
-  const CmdResult one_shot =
-      run_cmd(q + " annotate " + prog_ + " -n 4 2>/dev/null");
-  ASSERT_EQ(one_shot.exit_code, 0) << one_shot.output;
-  const CmdResult via = run_cmd(q + " annotate " + prog_ +
-                                " -n 4 --daemon '" + sock_ + "' 2>/dev/null");
-  ASSERT_EQ(via.exit_code, 0) << via.output;
-  EXPECT_EQ(via.output, one_shot.output);
+const char* const kOutFiles[] = {"dct_r.json", "dct_e.json", "dct_l.json"};
+
+/// Everything one CLI invocation leaves behind.
+struct Outcome {
+  int exit_code = -1;
+  std::string out;
+  std::string err;  ///< minus host-time and daemon status lines
+  std::vector<std::string> files;  ///< kOutFiles' contents ("" = absent)
+  bool cached = false;             ///< the daemon said "cached"
+};
+
+Outcome run_case(const std::string& cmd) {
+  const CmdResult r = run_cmd(cmd + " 2>daemon_cli_test.err");
+  Outcome o;
+  o.exit_code = r.exit_code;
+  o.out = r.output;
+  std::istringstream err(slurp("daemon_cli_test.err"));
+  for (std::string line; std::getline(err, line);) {
+    if (line == "# cachierd: cached") o.cached = true;
+    if (line.rfind("# host:", 0) != 0 && line.rfind("# cachierd:", 0) != 0) {
+      o.err += line + "\n";
+    }
+  }
+  for (const char* f : kOutFiles) {
+    o.files.push_back(slurp(f));
+    ::unlink(f);
+  }
+  return o;
 }
 
-TEST_F(DaemonCliTest, LintExitCodeSurvivesTheProtocol) {
-  // The racy program lints with warnings in the one-shot CLI; the daemon
-  // path must report the identical exit code and diagnostics text.
-  const std::string q = "'" + g_cachier + "'";
-  const CmdResult one_shot = run_cmd(q + " lint " + prog_ + " 2>/dev/null");
-  const CmdResult via = run_cmd(q + " lint " + prog_ + " --daemon '" + sock_ +
-                                "' 2>/dev/null");
-  EXPECT_EQ(via.exit_code, one_shot.exit_code);
-  EXPECT_EQ(via.output, one_shot.output);
+TEST_F(DaemonCliTest, EveryCommandIsByteIdenticalToOneShot) {
+  // One-shot, daemon fresh and daemon cached must agree on stdout, the
+  // replayed stderr diagnostics, the exit code and every written file.
+  // The program is race-free, so every case (lint included) exits 0.
+  const std::string cases[] = {
+      "run " + prog_ + " -n 4",
+      "run " + prog_ + " -n 4 --report dct_r.json --events dct_e.json",
+      "compare " + prog_ + " -n 4 --report dct_r.json --events dct_e.json",
+      "annotate " + prog_ + " -n 4",
+      "annotate --static --prefetch " + prog_ + " -n 4",
+      "lint " + prog_,
+      "lint --fix " + prog_,
+      "lint " + prog_ + " --json dct_l.json",
+  };
+  const std::string q = "'" + g_cachier + "' ";
+  const std::string daemon = " --daemon '" + sock_ + "'";
+  for (const std::string& args : cases) {
+    SCOPED_TRACE(args);
+    const Outcome one = run_case(q + args);
+    ASSERT_EQ(one.exit_code, 0) << one.err;
+    ASSERT_FALSE(one.out.empty());
+    for (std::size_t i = 0; i < std::size(kOutFiles); ++i) {
+      const bool named = args.find(kOutFiles[i]) != std::string::npos;
+      EXPECT_EQ(one.files[i].empty(), !named) << kOutFiles[i];
+    }
+    const Outcome fresh = run_case(q + args + daemon);
+    const Outcome cached = run_case(q + args + daemon);
+    EXPECT_FALSE(fresh.cached);
+    EXPECT_TRUE(cached.cached);
+    for (const Outcome* via : {&fresh, &cached}) {
+      EXPECT_EQ(via->exit_code, one.exit_code);
+      EXPECT_EQ(via->out, one.out);
+      EXPECT_EQ(via->err, one.err);
+      EXPECT_EQ(via->files, one.files);
+    }
+  }
 }
 
 TEST_F(DaemonCliTest, ParseErrorViaDaemonIsExitTwo) {
@@ -159,11 +199,13 @@ TEST(DaemonCliStandalone, VersionPrintsSchemaDocument) {
 }
 
 TEST(DaemonCliStandalone, DaemonFlagRejectsLocalOnlySideChannels) {
+  // Epoch streaming writes sidecars next to a local report while the run
+  // is going, so it cannot be served.
   write_file("daemon_cli_flags.mp", kProgram);
   const CmdResult r =
       run_cmd("'" + g_cachier +
               "' run daemon_cli_flags.mp --daemon /tmp/x.sock "
-              "--events ev.json 2>&1");
+              "--report r.json --stream-epochs 2>&1");
   EXPECT_EQ(r.exit_code, 1);
   EXPECT_NE(r.output.find("usage:"), std::string::npos) << r.output;
   ::unlink("daemon_cli_flags.mp");

@@ -1,0 +1,79 @@
+// Paper gate for EXPERIMENTS.md E1 (Fig. 6): the five benchmarks run
+// through the same factories and harness config as bench_fig6, on 32
+// simulated Dir1SW nodes.  Simulated cycles are deterministic, so every
+// app x variant normalized time is pinned exactly (to the three decimals
+// EXPERIMENTS.md records), and the section 6 shape claims are asserted on
+// the unrounded values.
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "bench/bench_util.hpp"
+
+namespace {
+
+using namespace cico;
+using namespace cico::apps;
+
+struct Pinned {
+  const char* app;
+  AppFactory (*factory)();
+  /// variant -> normalized time; "hand+pf" is measured only where listed
+  std::map<std::string, std::string> norm;
+};
+
+TEST(Fig6, PinnedTimesAndSection6Shape) {
+  ::unsetenv("CICO_BENCH_SCALE");  // the pins hold for the default sizes
+  const Pinned table[] = {
+      {"matmul", bench::matmul_factory,
+       {{"none", "1.000"}, {"hand", "0.958"}, {"hand+pf", "0.931"},
+        {"cachier", "0.951"}, {"cachier+pf", "0.869"}}},
+      {"barnes", bench::barnes_factory,
+       {{"none", "1.000"}, {"hand", "0.855"}, {"cachier", "0.846"},
+        {"cachier+pf", "0.846"}}},
+      {"tomcatv", bench::tomcatv_factory,
+       {{"none", "1.000"}, {"hand", "0.990"}, {"cachier", "0.964"},
+        {"cachier+pf", "0.944"}}},
+      {"ocean", bench::ocean_factory,
+       {{"none", "1.000"}, {"hand", "0.912"}, {"cachier", "0.748"},
+        {"cachier+pf", "0.624"}}},
+      {"mp3d", bench::mp3d_factory,
+       {{"none", "1.000"}, {"hand", "1.075"}, {"cachier", "0.364"},
+        {"cachier+pf", "0.367"}}},
+  };
+  std::map<std::string, std::map<std::string, double>> norm;
+  for (const Pinned& p : table) {
+    SCOPED_TRACE(p.app);
+    std::vector<Variant> vs{Variant::None, Variant::Hand, Variant::Cachier,
+                            Variant::CachierPf};
+    if (p.norm.contains("hand+pf")) {
+      vs.insert(vs.begin() + 2, Variant::HandPf);
+    }
+    Harness h(p.factory(), bench::fig6_config());
+    const std::vector<RunResult> rs = h.run_variants(vs);
+    ASSERT_EQ(rs.size(), p.norm.size());
+    for (const RunResult& r : rs) {
+      EXPECT_TRUE(r.verified) << r.variant;
+      const double n = r.normalized_to(rs.front());
+      char got[32];
+      std::snprintf(got, sizeof got, "%.3f", n);
+      EXPECT_EQ(got, p.norm.at(r.variant)) << r.variant;
+      norm[p.app][r.variant] = n;
+    }
+    EXPECT_LE(norm[p.app]["cachier"], norm[p.app]["hand"])
+        << "Cachier must match or beat the hand annotations";
+  }
+  EXPECT_GT(norm["mp3d"]["hand"], 1.0) << "Mp3d hand is worse than none";
+  EXPECT_LE(std::abs(norm["tomcatv"]["cachier"] - 1.0), 0.05);
+  for (const char* app : {"matmul", "ocean"}) {
+    EXPECT_LT(norm[app]["cachier+pf"], norm[app]["cachier"])
+        << "prefetch must help " << app;
+  }
+}
+
+}  // namespace

@@ -1,93 +1,50 @@
-// cachier -- the command-line tool.
+// cachier -- the command-line tool (synopsis: usage() below and README).
 //
-// Drives the full paper pipeline (Fig. 1) on a MiniPar source file:
+// Program commands drive the paper's pipeline (Fig. 1) on a MiniPar file:
+//   annotate   trace the unannotated program and print it with Cachier's
+//              CICO annotations (the core use case); --static plans them
+//              trace-free from static analysis (docs/static_analysis.md),
+//              --prefetch adds prefetch_S of shared-read sets
+//   lint       CICO typestate check with file:line:col diagnostics (exit
+//              0 clean / 1 warnings / 2 errors); --json writes the
+//              diffable document; --fix prints the repaired source and
+//              exits 0 only when it lints clean
+//   run        simulate and print execution statistics (--plan applies a
+//              directive plan; --faults, --paranoid)
+//   compare    annotate, run both versions, print the normalized time
+//   plan       print the Cachier directive plan (`run --plan` loads it)
+//   report     print the data-race / false-sharing report
+//   trace      print the Fig. 3 trace; `trace --load f` validates a saved
+//              text trace and re-emits it canonically
+// run / compare also take `--report f` (versioned JSON run report) and
+// `--events f` (Chrome trace-event export), both pure functions of
+// simulated state (docs/observability.md); `--stream-epochs` streams the
+// report's epoch rows through a sidecar so its memory stays O(1).
 //
-//   cachier annotate prog.mp [-n nodes] [--mode programmer|performance]
-//       trace the unannotated program, insert CICO annotations, print the
-//       annotated source to stdout (the paper's core use case)
-//   cachier annotate --static prog.mp [-n nodes] [--mode ...] [--prefetch]
-//       trace-free Cachier: plan the annotations from static analysis
-//       alone (affine region solving + the static sharing classifier,
-//       docs/static_analysis.md) -- no simulation, no trace; --prefetch
-//       additionally plans prefetch_S of shared-read sets
-//   cachier run prog.mp [-n nodes] [--plan file] [--faults spec] [--paranoid]
-//       run a (possibly annotated) program and print execution statistics
-//   cachier plan prog.mp [-n nodes] [--mode ...]
-//       trace the program and print the Cachier directive plan (load it
-//       back with `run --plan`)
-//   cachier report prog.mp [-n nodes]
-//       print the data-race / false-sharing report
-//   cachier compare prog.mp [-n nodes] [--mode ...] [--faults spec] [--paranoid]
-//       annotate, then run both versions and print the speedup
-//   cachier trace prog.mp [-n nodes]
-//       dump the Fig. 3 trace (text format) to stdout
-//   cachier trace --load file
-//       validate a saved text trace and re-emit it canonically (exit 2
-//       with a line-numbered message on malformed input)
-//   cachier soak [--campaigns N] [--seed s] [--faults spec]
-//       run seeded fault-injection campaigns over the bundled apps
-//       (each campaign runs twice to verify per-seed determinism) and
-//       report survival / retry / timeout statistics; failing campaigns
-//       leave a repro spec under a temp directory (printed); SIGINT /
-//       SIGTERM stops between runs, cleans the temp artifacts, reports
-//       the partial campaign and exits 3 (distinct from errors)
-//   cachier store put <dir> <file> [--name n]
-//   cachier store get <dir> <name> [-o file]
-//   cachier store ls <dir>
-//   cachier store gc <dir>
-//       local content-addressed artifact store (docs/trace_store.md):
-//       put chunks an artifact (traces are normalized to the epoch-chunked
-//       v2 form so near-identical runs share chunks), get reassembles it
-//       byte-for-byte with every chunk re-verified, ls lists manifests,
-//       gc removes unreferenced objects
-//   cachier sync <src-store> <dst-store>
-//       copy only the missing chunks (and changed manifests) from one
-//       store directory into another
-//   cachier version
-//       print the tool + schema versions as JSON (the same identity
-//       document the cachierd handshake exchanges)
-//   cachier diff baseline.json candidate.json [--tolerances file]
-//               [--tol pattern=spec]... [--summary]
-//       schema-aware structural diff of two --report files; exits 0
-//       (identical), 1 (divergences, all within tolerance), or 2
-//       (regression / malformed input) -- the CI regression gate
-//       (docs/report_schema.md, docs/observability.md); --summary prints
-//       a one-line verdict instead of the full listing
-//   cachier lint prog.mp [--json diag.json]
-//       static CICO typestate check (docs/static_analysis.md): verifies
-//       the check-in/check-out discipline over the CFG and prints
-//       file:line:col diagnostics with stable CICO00x rule ids; --json
-//       writes the schema-versioned diagnostic document (diffable with
-//       `cachier diff`); exits 0 clean / 1 warnings / 2 errors
-//   cachier lint --fix prog.mp [--json diag.json]
-//       apply every machine-applicable fix (analysis/fix.hpp) and print
-//       the FIXED source to stdout; stderr gets a one-line summary and
-//       any residual diagnostics; exits 0 only when the fixed program
-//       lints clean, else 2
+// Every program command parses into a daemon::JobRequest and runs through
+// daemon::run_job (src/cico/daemon/job.hpp) -- in-process by default, or
+// by a running cachierd with `--daemon <sock>` (docs/cachierd.md).  Either
+// way this file only prints the job's stdout, replays its diagnostics to
+// stderr and writes its report / events bytes to the files the flags
+// name, so daemon output is byte-identical to a one-shot run, cached or
+// fresh.  The client streams status lines to stderr, honors
+// `--deadline-ms`, and retries a busy or not-yet-listening daemon with
+// backoff.  `--stream-epochs` and `trace --load` name client-local files
+// and run in-process only.
 //
-// Observability (run / compare): `--report out.json` writes the versioned
-// JSON run report and `--events out.json` the Chrome trace-event export
-// (docs/observability.md).  Both are pure functions of simulated state, so
-// their bytes are identical run to run.
-// `--stream-epochs` writes epoch_series rows to a sidecar at each barrier
-// flush instead of buffering them, keeping report memory O(1) in epoch
-// count; the final report bytes are identical either way.
-//
-// Daemon mode: `--daemon <sock>` sends annotate / lint / run / trace /
-// report / plan to a running cachierd instead of executing in-process
-// (docs/cachierd.md).  The client streams status and diagnostics to
-// stderr, prints the job's stdout bytes verbatim (byte-identical to a
-// one-shot run, cached or fresh), honors `--deadline-ms`, and retries a
-// busy or not-yet-listening daemon with exponential backoff.  A version
-// mismatch at the handshake is exit 2.
+// Local commands: `soak` (seeded fault campaigns over the bundled apps,
+// each run twice to check determinism; failing campaigns leave a repro
+// spec; SIGINT/SIGTERM stops between runs with exit 3), `diff` (schema-
+// aware report diff, the CI regression gate: exit 0 identical / 1 within
+// tolerance / 2 regression), `store` put/get/ls/gc and `sync` (the
+// content-addressed artifact store, docs/trace_store.md), and `version`
+// (the identity document the cachierd handshake exchanges).
 //
 // Exit status: 0 on success, 1 on usage errors, 2 on program errors
 // (malformed numeric flags, parse errors, bad trace files, SimDeadlock,
 // ProtocolTimeout, InvariantViolation, failed soak campaigns) -- every
 // std::exception maps to exit 2 with a one-line `cachier: error: ...` on
-// stderr.  `diff` overloads 1 as within-tolerance (its usage errors still
-// print the usage text first).  `soak` adds exit 3: interrupted by
-// SIGINT/SIGTERM with only a partial campaign completed.
+// stderr.  A version mismatch at the daemon handshake is exit 2 too.
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -104,23 +61,15 @@
 #include "apps/jacobi.hpp"
 #include "apps/matmul.hpp"
 #include "apps/ocean.hpp"
-#include "cico/analysis/diagnostics.hpp"
-#include "cico/analysis/fix.hpp"
-#include "cico/analysis/typestate.hpp"
-#include "cico/cachier/cachier.hpp"
+#include "cico/cachier/chooser.hpp"
 #include "cico/common/parse_num.hpp"
 #include "cico/daemon/client.hpp"
 #include "cico/daemon/job.hpp"
 #include "cico/daemon/protocol.hpp"
-#include "cico/lang/interp.hpp"
-#include "cico/lang/parser.hpp"
-#include "cico/lang/unparse.hpp"
 #include "cico/obs/diff.hpp"
-#include "cico/obs/report.hpp"
-#include "cico/obs/stream.hpp"
-#include "cico/sim/plan_io.hpp"
-#include "cico/srcann/annotator.hpp"
+#include "cico/sim/machine.hpp"
 #include "cico/store/store.hpp"
+#include "cico/trace/trace.hpp"
 #include "cico/store/sync.hpp"
 
 using namespace cico;
@@ -134,11 +83,9 @@ struct Options {
   std::string file3;            ///< store put/get: the file / artifact name
   std::string store_name;       ///< store put --name <n>
   std::string out_file;         ///< store get -o <file>
-  std::uint32_t nodes = 8;
-  cachier::Mode mode = cachier::Mode::Performance;
-  std::string faults;           ///< FaultSpec text; empty = faults disabled
-  bool paranoid = false;        ///< audit invariants at every epoch boundary
-  bool audit_memo = true;       ///< memoize paranoid audits (--no-audit-memo)
+  /// -n, --mode, --faults (soak too), --paranoid, --static, --prefetch,
+  /// --fix, --deadline-ms: the job's config as given on the command line
+  daemon::JobConfig cfg;
   std::string plan_file;        ///< run --plan <file>
   std::uint32_t campaigns = 10; ///< soak campaigns
   std::uint64_t seed = 1;       ///< soak base seed
@@ -150,11 +97,7 @@ struct Options {
   std::vector<std::string> tol_flags;  ///< diff --tol pattern=spec
   bool diff_summary = false;    ///< diff --summary (one-line verdict)
   std::string json_file;        ///< lint --json <file>
-  bool static_mode = false;     ///< annotate --static (trace-free planning)
-  bool fix = false;             ///< lint --fix (apply machine fixes)
-  bool prefetch = false;        ///< annotate --static --prefetch
   std::string daemon_sock;      ///< --daemon <sock>: send to cachierd
-  std::uint64_t deadline_ms = 0;  ///< --deadline-ms for daemon jobs
 };
 
 void usage() {
@@ -163,7 +106,6 @@ void usage() {
       "usage: cachier <annotate|run|plan|report|compare|trace> prog.mp\n"
       "               [-n nodes] [--mode programmer|performance]\n"
       "               [--plan file] [--faults spec] [--paranoid]\n"
-      "               [--no-audit-memo]\n"
       "               [--report out.json] [--events out.json]\n"
       "               [--stream-epochs]\n"
       "               [--daemon sock] [--deadline-ms N]\n"
@@ -184,112 +126,14 @@ void usage() {
       "       cachier sync <src-store> <dst-store>\n");
 }
 
-const char* protocol_name(sim::ProtocolKind k) {
-  return k == sim::ProtocolKind::DirNFullMap ? "dirn_full_map" : "dir1sw";
-}
-
-/// Opens `path` for writing or throws (maps to exit 2).
-std::ofstream open_out(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write " + path);
-  return out;
-}
-
+/// Byte-exact read (store artifacts such as v2 traces contain raw bytes);
+/// throws on failure (maps to exit 2).
 std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-/// Binary-exact read for store artifacts (v1/v2 traces contain raw bytes).
-std::string slurp_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open " + path);
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
-}
-
-sim::SimConfig make_config(const Options& opt) {
-  sim::SimConfig cfg;
-  cfg.nodes = opt.nodes;
-  if (!opt.faults.empty()) cfg.faults = fault::FaultSpec::parse(opt.faults);
-  cfg.audit_invariants = opt.paranoid;
-  cfg.audit_memo = opt.audit_memo;
-  return cfg;
-}
-
-struct Traced {
-  trace::Trace trace;
-  Cycle time = 0;
-  std::string report;
-};
-
-Traced trace_program(const lang::Program& prog, std::uint32_t nodes) {
-  sim::SimConfig cfg;
-  cfg.nodes = nodes;
-  cfg.trace_mode = true;
-  sim::Machine m(cfg);
-  trace::TraceWriter w;
-  m.set_trace_writer(&w);
-  lang::LoadedProgram lp(prog, m);
-  w.set_labels(m.heap().trace_labels());
-  m.run([&](sim::Proc& p) { lp.run_node(p); });
-  Traced t;
-  t.trace = w.take();
-  t.time = m.exec_time();
-  cachier::SharingAnalyzer sa(t.trace, cfg.cache);
-  t.report = sa.report(t.trace, m.pcs());
-  return t;
-}
-
-Cycle run_program(const lang::Program& prog, const sim::SimConfig& cfg,
-                  bool print_stats, const sim::DirectivePlan* plan = nullptr,
-                  obs::Collector* col = nullptr,
-                  obs::Json* run_out = nullptr,
-                  std::string_view run_name = "run",
-                  std::string_view series_splice_id = {}) {
-  sim::Machine m(cfg);
-  lang::LoadedProgram lp(prog, m);
-  if (plan != nullptr) m.set_plan(plan);
-  if (col != nullptr) m.set_observer(col);
-  m.run([&](sim::Proc& p) { lp.run_node(p); });
-  if (col != nullptr && run_out != nullptr) {
-    *run_out = obs::run_json(run_name, m.exec_time(), m.epochs_completed(),
-                             m.stats(), m.network(), *col, series_splice_id);
-  }
-  if (print_stats) {
-    // The deterministic stats block is shared with the daemon job runner
-    // (cico::daemon::format_run_stats) so a cachierd-served `run` is
-    // byte-identical to this one-shot path.
-    std::fputs(daemon::format_run_stats(m, cfg).c_str(), stdout);
-    // Host wall-clock is inherently nondeterministic, so it goes to stderr:
-    // stdout stays byte-identical run to run.
-    std::fprintf(stderr, "# host: total=%.3fs boundary=%.3fs window=%.3fs\n",
-                 m.host_total_seconds(), m.host_boundary_seconds(),
-                 m.host_total_seconds() - m.host_boundary_seconds());
-  }
-  return m.exec_time();
-}
-
-srcann::AnnotateResult annotate_program(const lang::Program& prog,
-                                        std::uint32_t nodes,
-                                        cachier::Mode mode,
-                                        Traced* traced_out = nullptr) {
-  sim::SimConfig cfg;
-  cfg.nodes = nodes;
-  cfg.trace_mode = true;
-  sim::Machine m(cfg);
-  trace::TraceWriter w;
-  m.set_trace_writer(&w);
-  lang::LoadedProgram lp(prog, m);
-  w.set_labels(m.heap().trace_labels());
-  m.run([&](sim::Proc& p) { lp.run_node(p); });
-  trace::Trace t = w.take();
-  if (traced_out != nullptr) traced_out->trace = t;
-  return srcann::annotate(prog, t, lp, cfg.cache, {.mode = mode});
 }
 
 // --- soak: seeded fault campaigns over the bundled apps --------------------
@@ -442,10 +286,10 @@ int do_soak(const Options& opt) {
     const std::uint64_t seed = opt.seed + c;
     // retries=0 (unbounded budget) so moderate drop rates never abort on a
     // timeout; the watchdog still converts true livelock into SimDeadlock.
-    std::string spec = opt.faults.empty()
+    std::string spec = opt.cfg.faults.empty()
                            ? std::string(kSoakMixes[c % n_mixes]) +
                                  ",retries=0,throttle=4"
-                           : opt.faults;
+                           : opt.cfg.faults;
     spec += ",seed=" + std::to_string(seed);
     for (const SoakApp& a : bundled) {
       if (g_soak_stop != 0) {
@@ -550,7 +394,7 @@ int do_store(const Options& opt) {
         opt.store_name.empty()
             ? std::filesystem::path(opt.file3).filename().string()
             : opt.store_name;
-    const store::PutStats st = s.put(name, slurp_bytes(opt.file3));
+    const store::PutStats st = s.put(name, slurp(opt.file3));
     std::printf("store: put %s: kind=%s objects=%llu/%llu bytes=%llu/%llu\n",
                 st.name.c_str(), store::artifact_kind_name(st.kind),
                 static_cast<unsigned long long>(st.objects_new),
@@ -611,39 +455,63 @@ int do_sync(const Options& opt) {
   return 0;
 }
 
-// --- daemon client mode: ship the job to a running cachierd ----------------
+// --- program commands: one job, run in-process or by cachierd -------------
 
-int do_daemon_job(const Options& opt) {
+/// Where the job's report payload goes: lint's --json document, else the
+/// run/compare --report.
+const std::string& report_path(const Options& opt) {
+  return opt.command == "lint" ? opt.json_file : opt.report_file;
+}
+
+daemon::JobRequest make_request(const Options& opt) {
   daemon::JobRequest req;
   req.command = opt.command;
   req.name = opt.file;
   req.source = slurp(opt.file);
   if (!opt.plan_file.empty()) req.plan_text = slurp(opt.plan_file);
-  req.cfg.nodes = opt.nodes;
-  req.cfg.mode = opt.mode;
-  req.cfg.faults = opt.faults;
-  req.cfg.paranoid = opt.paranoid;
-  req.cfg.want_report = !opt.report_file.empty();
-  req.cfg.deadline_ms = opt.deadline_ms;
+  req.cfg = opt.cfg;
+  req.cfg.want_report = !report_path(opt).empty();
+  req.cfg.want_events = !opt.events_file.empty();
+  return req;
+}
 
-  daemon::ClientOptions copt;
-  copt.socket_path = opt.daemon_sock;
-  copt.on_status = [](const std::string& state) {
-    std::fprintf(stderr, "# cachierd: %s\n", state.c_str());
-  };
-  // diags are the job's stderr stream (annotate's summary line, lint
-  // echoes, self-lint output); replay them verbatim so daemon-mode stderr
-  // matches the one-shot run apart from the status lines above.
-  copt.on_diag = [](const std::string& text) {
-    std::fputs(text.c_str(), stderr);
-  };
+/// Writes a result payload to the file its flag names, or throws (maps
+/// to exit 2).  Nothing when the job produced none, e.g. a streamed
+/// report that is already on disk.
+void write_payload(const std::string& path, const std::string& bytes) {
+  if (path.empty() || bytes.empty()) return;
+  std::ofstream out(path);
+  if (!out) throw std::runtime_error("cannot write " + path);
+  out << bytes;
+}
 
-  const daemon::JobResult res = daemon::submit_job(copt, req);
-  std::fputs(res.out.c_str(), stdout);
-  if (!opt.report_file.empty() && !res.report.empty()) {
-    std::ofstream out = open_out(opt.report_file);
-    out << res.report;
+int do_job(const Options& opt) {
+  const daemon::JobRequest req = make_request(opt);
+  daemon::JobResult res;
+  if (opt.daemon_sock.empty()) {
+    res = daemon::run_job(req, nullptr,
+                          opt.stream_epochs ? opt.report_file : std::string{});
+    for (const std::string& d : res.diags) std::fputs(d.c_str(), stderr);
+  } else {
+    daemon::ClientOptions copt;
+    copt.socket_path = opt.daemon_sock;
+    copt.on_status = [](const std::string& state) {
+      std::fprintf(stderr, "# cachierd: %s\n", state.c_str());
+    };
+    // diags are the job's stderr stream (annotate's summary line, lint
+    // echoes, self-lint output); replay them verbatim so daemon-mode stderr
+    // matches the one-shot run apart from the status lines above.
+    copt.on_diag = [](const std::string& text) {
+      std::fputs(text.c_str(), stderr);
+    };
+    res = daemon::submit_job(copt, req);
   }
+  std::fputs(res.out.c_str(), stdout);
+  // Host wall-clock is inherently nondeterministic, so it goes to stderr:
+  // stdout stays byte-identical run to run.
+  std::fputs(res.host.c_str(), stderr);
+  write_payload(report_path(opt), res.report);
+  write_payload(opt.events_file, res.events);
   if (res.exit == 2 && !res.error.empty()) {
     std::fprintf(stderr, "cachier: error: %s\n", res.error.c_str());
   }
@@ -656,12 +524,10 @@ int dispatch(const Options& opt) {
     std::cout << "\n";
     return 0;
   }
-  if (!opt.daemon_sock.empty()) return do_daemon_job(opt);
   if (opt.command == "soak") return do_soak(opt);
   if (opt.command == "diff") return do_diff(opt);
   if (opt.command == "store") return do_store(opt);
   if (opt.command == "sync") return do_sync(opt);
-
   if (opt.command == "trace" && !opt.trace_load.empty()) {
     // Validate-and-reemit: a malformed file fails with exit 2 and a
     // line-numbered message; a good one round-trips canonically.
@@ -671,180 +537,7 @@ int dispatch(const Options& opt) {
     trace::save_text(t, std::cout);
     return 0;
   }
-
-  lang::Program prog = lang::parse(slurp(opt.file));
-  const bool want_obs = !opt.report_file.empty() || !opt.events_file.empty();
-
-  if (opt.command == "lint") {
-    if (opt.fix) {
-      const analysis::FixResult res = analysis::apply_fixes(prog);
-      std::printf("%s", lang::unparse(res.program).c_str());
-      std::fprintf(stderr, "# cachier: fix: %zu fixes in %zu passes\n",
-                   res.applied, res.passes);
-      for (const std::string& line : res.log) {
-        std::fprintf(stderr, "# cachier: fix: %s\n", line.c_str());
-      }
-      if (!res.lint.diagnostics.empty()) {
-        std::ostringstream ss;
-        analysis::print_text(ss, opt.file, res.lint);
-        std::fprintf(stderr, "# cachier: fix: residual diagnostics:\n%s",
-                     ss.str().c_str());
-      }
-      if (!opt.json_file.empty()) {
-        std::ofstream out = open_out(opt.json_file);
-        analysis::lint_json(opt.file, res.lint).dump(out);
-      }
-      // The fix contract is all-or-nothing: anything left unfixed is a
-      // hard failure so CI can gate on it.
-      return res.lint.diagnostics.empty() ? 0 : 2;
-    }
-    const analysis::LintResult res = analysis::lint(prog);
-    analysis::print_text(std::cout, opt.file, res);
-    if (!opt.json_file.empty()) {
-      std::ofstream out = open_out(opt.json_file);
-      analysis::lint_json(opt.file, res).dump(out);
-    }
-    return res.exit_code();
-  }
-  if (opt.command == "run") {
-    sim::DirectivePlan plan;
-    const sim::DirectivePlan* pp = nullptr;
-    if (!opt.plan_file.empty()) {
-      std::ifstream in(opt.plan_file);
-      if (!in) throw std::runtime_error("cannot open " + opt.plan_file);
-      plan = sim::load_plan(in);
-      pp = &plan;
-    }
-    const sim::SimConfig cfg = make_config(opt);
-    obs::Collector col;
-    col.set_events_enabled(!opt.events_file.empty());
-    std::unique_ptr<obs::EpochStreamWriter> stream;
-    if (opt.stream_epochs) {
-      stream = std::make_unique<obs::EpochStreamWriter>(opt.report_file +
-                                                        ".epochs0");
-      col.set_epoch_sink(stream.get());
-    }
-    obs::Json run_j;
-    run_program(prog, cfg, /*print_stats=*/true, pp,
-                want_obs ? &col : nullptr, &run_j, "run", "epochs0");
-    if (!opt.report_file.empty()) {
-      std::vector<obs::Json> runs;
-      runs.push_back(std::move(run_j));
-      const obs::Json rep = obs::make_report(
-          "run", obs::config_json(cfg, protocol_name(cfg.protocol), opt.faults),
-          std::move(runs));
-      std::ofstream out = open_out(opt.report_file);
-      if (stream != nullptr) {
-        rep.dump(out, [&](std::ostream& os, std::string_view) {
-          stream->splice_into(os);
-        });
-      } else {
-        rep.dump(out);
-      }
-    }
-    if (!opt.events_file.empty()) {
-      std::ofstream out = open_out(opt.events_file);
-      col.write_chrome_trace(out);
-    }
-    return 0;
-  }
-  if (opt.command == "plan") {
-    Traced t = trace_program(prog, opt.nodes);
-    sim::SimConfig cfg;
-    cachier::PlanBuilder pb(t.trace, cfg.cache);
-    const sim::DirectivePlan plan = pb.build({.mode = opt.mode});
-    sim::save_plan(plan, std::cout);
-    return 0;
-  }
-  if (opt.command == "trace") {
-    Traced t = trace_program(prog, opt.nodes);
-    trace::save_text(t.trace, std::cout);
-    return 0;
-  }
-  if (opt.command == "report") {
-    Traced t = trace_program(prog, opt.nodes);
-    std::printf("%s", t.report.c_str());
-    return 0;
-  }
-  if (opt.command == "annotate") {
-    srcann::AnnotateResult res =
-        opt.static_mode
-            ? srcann::annotate_static(
-                  prog, opt.nodes,
-                  {.mode = opt.mode, .prefetch = opt.prefetch})
-            : annotate_program(prog, opt.nodes, opt.mode);
-    std::printf("%s", lang::unparse(res.program).c_str());
-    std::fprintf(stderr,
-                 "# cachier: %zu annotations, %zu generated loops, %zu "
-                 "dropped, %zu races, %zu false-sharing blocks\n",
-                 res.inserted, res.generated_loops, res.dropped, res.races,
-                 res.false_shares);
-    // Self-lint oracle: Cachier's own output must satisfy the CICO rules.
-    // A diagnostic here is an annotator bug, so errors fail the command.
-    if (!res.lint.diagnostics.empty()) {
-      std::ostringstream ss;
-      analysis::print_text(ss, "<annotated>", res.lint);
-      std::fprintf(stderr, "# cachier: self-lint:\n%s", ss.str().c_str());
-      if (res.lint.exit_code() == 2) return 2;
-    }
-    return 0;
-  }
-  if (opt.command == "compare") {
-    srcann::AnnotateResult res = annotate_program(prog, opt.nodes, opt.mode);
-    lang::Program annotated = lang::parse(lang::unparse(res.program));
-    const sim::SimConfig cfg = make_config(opt);
-    obs::Collector base_col;
-    obs::Collector anno_col;
-    // --events on compare exports the ANNOTATED run (one trace per file).
-    anno_col.set_events_enabled(!opt.events_file.empty());
-    std::unique_ptr<obs::EpochStreamWriter> base_stream;
-    std::unique_ptr<obs::EpochStreamWriter> anno_stream;
-    if (opt.stream_epochs) {
-      base_stream = std::make_unique<obs::EpochStreamWriter>(opt.report_file +
-                                                             ".epochs0");
-      anno_stream = std::make_unique<obs::EpochStreamWriter>(opt.report_file +
-                                                             ".epochs1");
-      base_col.set_epoch_sink(base_stream.get());
-      anno_col.set_epoch_sink(anno_stream.get());
-    }
-    obs::Json base_j;
-    obs::Json anno_j;
-    std::printf("-- unannotated --\n");
-    const Cycle base = run_program(prog, cfg, true, nullptr,
-                                   want_obs ? &base_col : nullptr, &base_j,
-                                   "baseline", "epochs0");
-    std::printf("-- %s CICO (%zu annotations) --\n",
-                cachier::mode_name(opt.mode), res.inserted);
-    const Cycle anno = run_program(annotated, cfg, true, nullptr,
-                                   want_obs ? &anno_col : nullptr, &anno_j,
-                                   "annotated", "epochs1");
-    std::printf("\nnormalized execution time: %.3f\n",
-                static_cast<double>(anno) / static_cast<double>(base));
-    if (!opt.report_file.empty()) {
-      const obs::Json cmp = obs::comparison_json(base_j, anno_j);
-      std::vector<obs::Json> runs;
-      runs.push_back(std::move(base_j));
-      runs.push_back(std::move(anno_j));
-      obs::Json rep = obs::make_report(
-          "compare",
-          obs::config_json(cfg, protocol_name(cfg.protocol), opt.faults),
-          std::move(runs));
-      rep.set("comparison", cmp);
-      std::ofstream out = open_out(opt.report_file);
-      if (base_stream != nullptr) {
-        rep.dump(out, [&](std::ostream& os, std::string_view id) {
-          (id == "epochs0" ? *base_stream : *anno_stream).splice_into(os);
-        });
-      } else {
-        rep.dump(out);
-      }
-    }
-    if (!opt.events_file.empty()) {
-      std::ofstream out = open_out(opt.events_file);
-      anno_col.write_chrome_trace(out);
-    }
-    return 0;
-  }
+  if (daemon::known_command(opt.command)) return do_job(opt);
   usage();
   return 1;
 }
@@ -860,21 +553,19 @@ int parse_args(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "-n" && i + 1 < argc) {
-      opt.nodes = parse_num<std::uint32_t>(argv[++i], "-n node count");
+      opt.cfg.nodes = parse_num<std::uint32_t>(argv[++i], "-n node count");
     } else if (arg == "--mode" && i + 1 < argc) {
       const std::string m = argv[++i];
-      if (m == "programmer") opt.mode = cachier::Mode::Programmer;
-      else if (m == "performance") opt.mode = cachier::Mode::Performance;
+      if (m == "programmer") opt.cfg.mode = cachier::Mode::Programmer;
+      else if (m == "performance") opt.cfg.mode = cachier::Mode::Performance;
       else {
         usage();
         return 1;
       }
     } else if (arg == "--faults" && i + 1 < argc) {
-      opt.faults = argv[++i];
+      opt.cfg.faults = argv[++i];
     } else if (arg == "--paranoid") {
-      opt.paranoid = true;
-    } else if (arg == "--no-audit-memo") {
-      opt.audit_memo = false;
+      opt.cfg.paranoid = true;
     } else if (arg == "--plan" && i + 1 < argc) {
       opt.plan_file = argv[++i];
     } else if (arg == "--report" && i + 1 < argc) {
@@ -892,11 +583,11 @@ int parse_args(int argc, char** argv, Options& opt) {
     } else if (arg == "--json" && i + 1 < argc) {
       opt.json_file = argv[++i];
     } else if (arg == "--static") {
-      opt.static_mode = true;
+      opt.cfg.static_mode = true;
     } else if (arg == "--fix") {
-      opt.fix = true;
+      opt.cfg.fix = true;
     } else if (arg == "--prefetch") {
-      opt.prefetch = true;
+      opt.cfg.prefetch = true;
     } else if (arg == "--load" && i + 1 < argc) {
       opt.trace_load = argv[++i];
     } else if (arg == "--name" && i + 1 < argc) {
@@ -906,7 +597,7 @@ int parse_args(int argc, char** argv, Options& opt) {
     } else if (arg == "--daemon" && i + 1 < argc) {
       opt.daemon_sock = argv[++i];
     } else if (arg == "--deadline-ms" && i + 1 < argc) {
-      opt.deadline_ms =
+      opt.cfg.deadline_ms =
           parse_num<std::uint64_t>(argv[++i], "--deadline-ms value");
     } else if (arg == "--campaigns" && i + 1 < argc) {
       opt.campaigns = parse_num<std::uint32_t>(argv[++i], "--campaigns value");
@@ -930,15 +621,13 @@ int parse_args(int argc, char** argv, Options& opt) {
   const bool needs_file =
       opt.command != "soak" && opt.command != "version" &&
       !(opt.command == "trace" && !opt.trace_load.empty());
-  // Daemon mode ships exactly the deterministic job surface: commands the
-  // protocol knows, minus local-only side channels (events export, epoch
-  // streaming, lint --json, trace --load all write/read local files the
-  // daemon cannot see).
+  // Daemon mode serves every program command.  Only the two flags that
+  // name client-local files stay local: epoch streaming writes sidecars
+  // while the run is going, and trace --load reads a local trace.
   const bool daemon_ok =
       opt.daemon_sock.empty() ||
-      (daemon::known_command(opt.command) && opt.events_file.empty() &&
-       !opt.stream_epochs && opt.json_file.empty() && opt.trace_load.empty() &&
-       !opt.static_mode && !opt.fix && !opt.prefetch);
+      (daemon::known_command(opt.command) && !opt.stream_epochs &&
+       opt.trace_load.empty());
   // store's positional grammar: put/get take <dir> <arg>; ls/gc take <dir>.
   const bool store_ok =
       opt.command != "store" ||
@@ -946,16 +635,16 @@ int parse_args(int argc, char** argv, Options& opt) {
        ((opt.file == "put" || opt.file == "get") ? !opt.file3.empty()
         : (opt.file == "ls" || opt.file == "gc") && opt.file3.empty()));
   if (opt.command.empty() || (needs_file && opt.file.empty()) ||
-      opt.nodes == 0 ||
+      opt.cfg.nodes == 0 ||
       (opt.command == "soak" && opt.campaigns == 0) ||
       (opt.command == "diff" && opt.file2.empty()) ||
       (opt.command == "sync" && opt.file2.empty()) || !store_ok ||
       // Streaming only makes sense while a report is being written.
       (opt.stream_epochs && opt.report_file.empty()) || !daemon_ok ||
-      (opt.static_mode && opt.command != "annotate") ||
-      (opt.fix && opt.command != "lint") ||
-      (opt.prefetch && !opt.static_mode) ||
-      (opt.deadline_ms != 0 && opt.daemon_sock.empty())) {
+      (opt.cfg.static_mode && opt.command != "annotate") ||
+      (opt.cfg.fix && opt.command != "lint") ||
+      (opt.cfg.prefetch && !opt.cfg.static_mode) ||
+      (opt.cfg.deadline_ms != 0 && opt.daemon_sock.empty())) {
     usage();
     return 1;
   }

@@ -33,7 +33,7 @@ namespace {
 volatile std::sig_atomic_t g_signals = 0;
 
 void on_signal(int) {
-  ++g_signals;
+  g_signals = g_signals + 1;
   if (g_signals > 1) std::_Exit(130);  // second signal: immediate exit
 }
 
