@@ -36,8 +36,7 @@ void BM_CacheHit(benchmark::State& state) {
   for (Block b = 0; b < 1024; ++b) c.insert(b, mem::LineState::Shared);
   Block b = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(c.state_of(b));
-    c.touch(b);
+    benchmark::DoNotOptimize(c.access(b, false));
     b = (b + 7) % 1024;
   }
 }

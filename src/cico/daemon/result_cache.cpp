@@ -29,92 +29,106 @@ std::string ResultCache::path_of(const std::string& key) const {
   return dir_ + "/" + key + ".json";
 }
 
-std::optional<JobResult> ResultCache::lookup(const std::string& key) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    ++counters_.hits;
-    touch_locked(key);
-    JobResult r = it->second.result;
-    r.cached = true;
-    r.key = key;
-    return r;
-  }
-  if (!dir_.empty()) {
-    std::ifstream in(path_of(key));
-    if (in) {
-      std::ostringstream ss;
-      ss << in.rdbuf();
-      try {
-        obs::Json doc = obs::Json::parse(ss.str());
-        // Resolve content-addressed payloads back inline.  get_object
-        // re-verifies the hash, so a corrupt or gc'd object throws and
-        // lands in the catch below -- a miss, never corrupt bytes.
-        for (const Payload& p : kPayloads) {
-          if (const obs::Json* ref = doc.find(std::string(p.key) + "_ref")) {
-            doc.set(p.key,
-                    obs::Json::string(store_->get_object(ref->as_string())));
-          }
-        }
-        JobResult r = job_result_from_json(doc);
-        ++counters_.hits;
-        ++counters_.disk_loads;
-        lru_.push_front(key);
-        map_[key] = Entry{r, lru_.begin()};
-        evict_locked();
-        r.cached = true;
-        r.key = key;
-        return r;
-      } catch (const std::exception&) {
-        // A corrupt file (partial write from a crash) is treated as a
-        // miss; the fresh result will overwrite it.
+std::shared_ptr<const JobResult> ResultCache::load_file(
+    const std::string& key) const {
+  std::ifstream in(path_of(key));
+  if (!in) return nullptr;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  try {
+    obs::Json doc = obs::Json::parse(ss.str());
+    // Resolve content-addressed payloads back inline.  get_object
+    // re-verifies the hash, so a corrupt or gc'd object throws and lands
+    // in the catch below -- a miss, never corrupt bytes.
+    for (const Payload& p : kPayloads) {
+      if (const obs::Json* ref = doc.find(std::string(p.key) + "_ref")) {
+        doc.set(p.key,
+                obs::Json::string(store_->get_object(ref->as_string())));
       }
     }
+    return std::make_shared<const JobResult>(job_result_from_json(doc));
+  } catch (const std::exception&) {
+    // A corrupt file (partial write from a crash) is treated as a miss;
+    // the fresh result will overwrite it.
+    return nullptr;
   }
-  ++counters_.misses;
-  return std::nullopt;
+}
+
+std::optional<JobResult> ResultCache::lookup(const std::string& key) {
+  std::shared_ptr<const JobResult> found;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    auto it = map_.find(key);
+    if (it != map_.end()) {
+      ++counters_.hits;
+      touch_locked(key);
+      found = it->second.result;
+    } else if (dir_.empty()) {
+      ++counters_.misses;
+      return std::nullopt;
+    }
+  }
+  if (found == nullptr) {
+    // Memory miss: read and parse the file tier without the lock, so
+    // lookups and inserts of other keys never wait behind this I/O.
+    found = load_file(key);
+    std::lock_guard<std::mutex> lk(mu_);
+    if (found == nullptr) {
+      ++counters_.misses;
+      return std::nullopt;
+    }
+    ++counters_.hits;
+    ++counters_.disk_loads;
+    if (map_.contains(key)) {
+      touch_locked(key);  // installed meanwhile by an insert or a reload
+    } else {
+      lru_.push_front(key);
+      map_.emplace(key, Entry{found, lru_.begin()});
+      evict_locked();
+    }
+  }
+  JobResult r = *found;
+  r.cached = true;
+  r.key = key;
+  return r;
 }
 
 void ResultCache::insert(const std::string& key, const JobResult& r) {
   if (r.cancelled) return;
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    it->second.result = r;
-    touch_locked(key);
-  } else {
-    lru_.push_front(key);
-    it = map_.emplace(key, Entry{r, lru_.begin()}).first;
-  }
-  it->second.result.host.clear();  // host wall-clock is never cached
-  evict_locked();
-  ++counters_.inserts;
-  if (!dir_.empty()) {
-    // Write-then-rename so a crash mid-write never leaves a half entry
-    // under the final name (lookup tolerates stray .tmp files).
-    const std::string tmp = path_of(key) + ".tmp";
-    {
-      std::ofstream out(tmp);
-      if (!out) return;  // disk tier is best-effort; memory tier has it
-      obs::Json doc = job_result_json(r);
-      // Big payloads go to the content-addressed store tier so identical
-      // bytes across keys are stored once (and syncable between hosts).
-      try {
-        for (const Payload& p : kPayloads) {
-          const std::string& bytes = r.*p.field;
-          if (bytes.size() < kInlineMax) continue;
-          doc.set(p.key, obs::Json::string(""));
-          doc.set(std::string(p.key) + "_ref",
-                  obs::Json::string(store_->put_object(bytes).hash_hex));
-        }
-      } catch (const std::exception&) {
-        return;  // store tier unavailable: keep the memory tier only
-      }
-      doc.dump(out);
+  auto stored = std::make_shared<JobResult>(r);
+  stored->host.clear();  // host wall-clock is never cached
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    auto it = map_.find(key);
+    if (it != map_.end()) {
+      it->second.result = stored;
+      touch_locked(key);
+    } else {
+      lru_.push_front(key);
+      map_.emplace(key, Entry{stored, lru_.begin()});
     }
-    std::error_code ec;
-    fs::rename(tmp, path_of(key), ec);
-    if (ec) fs::remove(tmp, ec);
+    evict_locked();
+    ++counters_.inserts;
+  }
+  if (dir_.empty()) return;
+  // The file tier is written outside the lock and best-effort: the memory
+  // tier already has the entry.  write_file_atomic renames a per-writer
+  // temp file into place, so a crash never leaves a half entry under the
+  // final name and concurrent inserts of one key never share a temp file.
+  try {
+    obs::Json doc = job_result_json(*stored);
+    // Big payloads go to the content-addressed store tier so identical
+    // bytes across keys are stored once (and syncable between hosts).
+    for (const Payload& p : kPayloads) {
+      const std::string& bytes = (*stored).*p.field;
+      if (bytes.size() < kInlineMax) continue;
+      doc.set(p.key, obs::Json::string(""));
+      doc.set(std::string(p.key) + "_ref",
+              obs::Json::string(store_->put_object(bytes).hash_hex));
+    }
+    store::write_file_atomic(path_of(key), doc.dump_string());
+  } catch (const std::exception&) {
+    // Disk or store tier unavailable: keep the memory tier only.
   }
 }
 
@@ -151,14 +165,11 @@ void ResultCache::flush_index() const {
   }
   idx.set("entries", std::move(arr));
 
-  const std::string tmp = dir_ + "/index.json.tmp";
-  {
-    std::ofstream out(tmp);
-    if (!out) return;
-    idx.dump(out);
+  try {
+    store::write_file_atomic(dir_ + "/index.json", idx.dump_string());
+  } catch (const std::exception&) {
+    // Best-effort, like the file tier itself.
   }
-  fs::rename(tmp, dir_ + "/index.json", ec);
-  if (ec) fs::remove(tmp, ec);
 }
 
 ResultCache::Counters ResultCache::counters() const {

@@ -85,14 +85,21 @@ class ResultCache {
   void touch_locked(const std::string& key);
   void evict_locked();
   [[nodiscard]] std::string path_of(const std::string& key) const;
+  /// Reads and parses a file-tier entry; nullptr when absent or corrupt.
+  /// Called without the lock.
+  [[nodiscard]] std::shared_ptr<const JobResult> load_file(
+      const std::string& key) const;
 
   std::string dir_;
   std::size_t max_entries_;
   std::unique_ptr<store::ObjectStore> store_;  ///< set iff dir_ non-empty
 
+  /// Guards the memory tier and the counters only.  The file tier is read
+  /// and written outside it, and entries are shared so a hit copies its
+  /// result after the lock is released.
   mutable std::mutex mu_;
   struct Entry {
-    JobResult result;
+    std::shared_ptr<const JobResult> result;
     std::list<std::string>::iterator lru;
   };
   std::unordered_map<std::string, Entry> map_;

@@ -54,10 +54,6 @@ double eval_const(const Expr& e,
 
 }  // namespace
 
-struct LoadedProgram::Frame {
-  std::unordered_map<std::string, double> vars;
-};
-
 LoadedProgram::LoadedProgram(const Program& src, sim::Machine& m)
     : prog_(&src), machine_(&m) {
   // Declarations.
@@ -76,37 +72,87 @@ LoadedProgram::LoadedProgram(const Program& src, sim::Machine& m)
       }
       const std::size_t n = info.d0 * info.d1;
       info.base = m.heap().alloc(n * sizeof(double), d->name);
-      info.data = std::make_unique<std::atomic<double>[]>(n);
-      arrays_.emplace(d->name, std::move(info));
+      info.data = std::make_unique<double[]>(n);
+      const auto next = static_cast<std::uint32_t>(arrays_.size());
+      if (array_of_.try_emplace(d->name, next).second) {
+        arrays_.push_back(std::move(info));
+      }
     }
   }
   // Access-site PcIds, one per AST id, named by source location so trace
   // records and sharing reports read like the paper's "lines in the
   // program text".  Nodes without a recorded location (synthesized ones)
-  // fall back to their id.
+  // fall back to their id.  The same walk binds every named node's id
+  // (see the header comment).
   pc_by_ast_.assign(src.next_id, kNoPc);
   std::unordered_map<AstId, SrcLoc> locs;
-  std::function<void(const Expr&)> walk_expr = [&](const Expr& e) {
-    locs[e.id] = e.loc;
-    for (const auto& a : e.args) walk_expr(*a);
+  std::unordered_map<std::string, std::uint32_t> slot_of;
+  std::vector<const std::string*> name_of(src.next_id, nullptr);
+  bind_.assign(src.next_id, kUnbound);
+  auto bind = [&](AstId id, const std::string& name, std::uint32_t to) {
+    if (name_of[id] != nullptr && *name_of[id] != name) {
+      throw InterpError("AST id " + std::to_string(id) + " names both '" +
+                        *name_of[id] + "' and '" + name + "'");
+    }
+    name_of[id] = &name;
+    bind_[id] = to;
+  };
+  auto bind_scalar = [&](AstId id, const std::string& name) {
+    const auto next = static_cast<std::uint32_t>(slot_of.size());
+    bind(id, name, slot_of.try_emplace(name, next).first->second);
+  };
+  auto bind_array = [&](AstId id, const std::string& name) {
+    const auto at = array_of_.find(name);
+    bind(id, name, at != array_of_.end() ? at->second : kUnbound);
+  };
+  // Directive ranges are bound but never located: their PcIds keep line 0.
+  std::function<void(const Expr&, bool)> walk_expr = [&](const Expr& e,
+                                                         bool locate) {
+    if (locate) locs[e.id] = e.loc;
+    if (e.kind == ExprKind::Var) bind_scalar(e.id, e.name);
+    if (e.kind == ExprKind::Index) bind_array(e.id, e.name);
+    for (const auto& a : e.args) walk_expr(*a, locate);
   };
   std::function<void(const std::vector<StmtPtr>&)> walk =
       [&](const std::vector<StmtPtr>& stmts) {
         for (const auto& sp : stmts) {
           locs[sp->id] = sp->loc;
+          if (sp->kind == StmtKind::Private || sp->kind == StmtKind::For ||
+              (sp->kind == StmtKind::Assign && sp->subs.empty())) {
+            bind_scalar(sp->id, sp->name);
+          } else if (sp->kind == StmtKind::Assign) {
+            bind_array(sp->id, sp->name);
+          }
           for (const auto* e :
                {sp->rhs.get(), sp->lo.get(), sp->hi.get(), sp->step.get(),
                 sp->cond.get()}) {
-            if (e != nullptr) walk_expr(*e);
+            if (e != nullptr) walk_expr(*e, true);
           }
-          for (const auto& e : sp->dims) walk_expr(*e);
-          for (const auto& e : sp->subs) walk_expr(*e);
+          for (const auto& e : sp->dims) walk_expr(*e, true);
+          for (const auto& e : sp->subs) walk_expr(*e, true);
+          if (sp->ref) {
+            bind_array(sp->ref->id, sp->ref->name);
+            for (const auto& r : sp->ref->ranges) {
+              walk_expr(*r.lo, false);
+              if (r.hi) walk_expr(*r.hi, false);
+            }
+          }
           walk(sp->body);
           walk(sp->else_body);
         }
       };
   walk(src.decls);
   walk(src.body);
+  fresh_frame_.vals.assign(slot_of.size(), 0.0);
+  fresh_frame_.set.assign(slot_of.size(), 0);
+  for (const auto& [name, slot] : slot_of) {
+    const auto ct = consts_.find(name);
+    if (ct != consts_.end()) fresh_frame_.write(slot, ct->second);
+  }
+  // Release the walk's scratch before the long-lived PcId map is built
+  // on top of it.
+  slot_of = {};
+  name_of = {};
   for (AstId i = 1; i < src.next_id; ++i) {
     const auto it = locs.find(i);
     const int line = it != locs.end() ? it->second.line : 0;
@@ -119,11 +165,18 @@ LoadedProgram::LoadedProgram(const Program& src, sim::Machine& m)
 
 const LoadedProgram::ArrayInfo& LoadedProgram::array(std::string_view name,
                                                      SrcLoc loc) const {
-  auto it = arrays_.find(std::string(name));
-  if (it == arrays_.end()) {
+  auto it = array_of_.find(std::string(name));
+  if (it == array_of_.end()) {
     fail("unknown shared array '" + std::string(name) + "'", loc);
   }
-  return it->second;
+  return arrays_[it->second];
+}
+
+const LoadedProgram::ArrayInfo& LoadedProgram::array_at(
+    AstId id, const std::string& name, SrcLoc loc) const {
+  const std::uint32_t a = bind_[id];
+  if (a == kUnbound) fail("unknown shared array '" + name + "'", loc);
+  return arrays_[a];
 }
 
 Addr LoadedProgram::addr_of(const ArrayInfo& a, std::size_t i, std::size_t j,
@@ -150,14 +203,12 @@ double LoadedProgram::eval(sim::Proc& p, Frame& f, const Expr& e) {
     case ExprKind::Nprocs:
       return static_cast<double>(p.nprocs());
     case ExprKind::Var: {
-      auto it = f.vars.find(e.name);
-      if (it != f.vars.end()) return it->second;
-      auto ct = consts_.find(e.name);
-      if (ct != consts_.end()) return ct->second;
+      const std::uint32_t slot = bind_[e.id];
+      if (f.set[slot] != 0) return f.vals[slot];
       fail("unknown variable '" + e.name + "'", e.loc);
     }
     case ExprKind::Index: {
-      const ArrayInfo& a = array(e.name, e.loc);
+      const ArrayInfo& a = array_at(e.id, e.name, e.loc);
       const std::size_t i = index_of(eval(p, f, *e.args[0]), a.d0, e.loc);
       const std::size_t j =
           e.args.size() > 1 ? index_of(eval(p, f, *e.args[1]), a.d1, e.loc)
@@ -165,7 +216,7 @@ double LoadedProgram::eval(sim::Proc& p, Frame& f, const Expr& e) {
       if (e.args.size() > 1 && !a.two_d) fail("1-D array indexed 2-D", e.loc);
       const Addr addr = addr_of(a, i, j, e.loc);
       p.ld(addr, sizeof(double), pc_by_ast_[e.id]);
-      return a.data[i * a.d1 + j].load(std::memory_order_relaxed);
+      return a.data[i * a.d1 + j];
     }
     case ExprKind::Unary: {
       const double v = eval(p, f, *e.args[0]);
@@ -213,7 +264,7 @@ double LoadedProgram::eval(sim::Proc& p, Frame& f, const Expr& e) {
 
 void LoadedProgram::directive(sim::Proc& p, Frame& f, const Stmt& s) {
   const ArrayRef& r = *s.ref;
-  const ArrayInfo& a = array(r.name, r.loc);
+  const ArrayInfo& a = array_at(r.id, r.name, r.loc);
 
   auto bounds = [&](const RangeExpr& re, std::size_t extent) {
     const std::size_t lo = index_of(eval(p, f, *re.lo), extent, r.loc);
@@ -261,23 +312,23 @@ void LoadedProgram::exec(sim::Proc& p, Frame& f, const Stmt& s) {
     case StmtKind::ConstDecl:
       return;  // handled at load time
     case StmtKind::Private:
-      f.vars[s.name] = eval(p, f, *s.rhs);
+      f.write(bind_[s.id], eval(p, f, *s.rhs));
       return;
     case StmtKind::Assign: {
       const double v = eval(p, f, *s.rhs);
       if (s.subs.empty()) {
         // Scalar target: private variable (create on first write).
-        f.vars[s.name] = v;
+        f.write(bind_[s.id], v);
         return;
       }
-      const ArrayInfo& a = array(s.name, s.loc);
+      const ArrayInfo& a = array_at(s.id, s.name, s.loc);
       const std::size_t i = index_of(eval(p, f, *s.subs[0]), a.d0, s.loc);
       const std::size_t j =
           s.subs.size() > 1 ? index_of(eval(p, f, *s.subs[1]), a.d1, s.loc)
                             : 0;
       const Addr addr = addr_of(a, i, j, s.loc);
       p.st(addr, sizeof(double), pc_by_ast_[s.id]);
-      a.data[i * a.d1 + j].store(v, std::memory_order_relaxed);
+      a.data[i * a.d1 + j] = v;
       p.compute(1);
       return;
     }
@@ -286,8 +337,9 @@ void LoadedProgram::exec(sim::Proc& p, Frame& f, const Stmt& s) {
       const double hi = eval(p, f, *s.hi);
       const double step = s.step ? eval(p, f, *s.step) : 1.0;
       if (step == 0.0) fail("zero loop step", s.loc);
+      const std::uint32_t slot = bind_[s.id];
       for (double v = lo; step > 0 ? v <= hi : v >= hi; v += step) {
-        f.vars[s.name] = v;
+        f.write(slot, v);
         exec_block(p, f, s.body);
         p.compute(1);
       }
@@ -306,7 +358,7 @@ void LoadedProgram::exec(sim::Proc& p, Frame& f, const Stmt& s) {
     case StmtKind::Lock:
     case StmtKind::Unlock: {
       const ArrayRef& r = *s.ref;
-      const ArrayInfo& a = array(r.name, r.loc);
+      const ArrayInfo& a = array_at(r.id, r.name, r.loc);
       const std::size_t i =
           index_of(eval(p, f, *r.ranges[0].lo), a.d0, r.loc);
       const std::size_t j =
@@ -333,7 +385,7 @@ void LoadedProgram::exec_block(sim::Proc& p, Frame& f,
 }
 
 void LoadedProgram::run_node(sim::Proc& p) {
-  Frame f;
+  Frame f = fresh_frame_;
   exec_block(p, f, prog_->body);
 }
 
@@ -341,7 +393,7 @@ double LoadedProgram::value(std::string_view name, std::size_t i,
                             std::size_t j) const {
   const ArrayInfo& a = array(name, SrcLoc{});
   if (i >= a.d0 || j >= a.d1) throw InterpError("value(): out of range");
-  return a.data[i * a.d1 + j].load(std::memory_order_relaxed);
+  return a.data[i * a.d1 + j];
 }
 
 Addr LoadedProgram::array_base(std::string_view name) const {

@@ -33,12 +33,14 @@ LineState Cache::state_of(Block b) const {
   return i < fill ? states_[row(b) + i] : LineState::Invalid;
 }
 
-bool Cache::touch(Block b) {
+LineState Cache::access(Block b, bool write) {
   const std::size_t fill = fill_[geo_.set_of(b)];
   const std::size_t i = way_of(b, fill);
-  if (i >= fill) return false;
-  to_mru(row(b), i);
-  return true;
+  if (i >= fill) return LineState::Invalid;
+  const std::size_t base = row(b);
+  const LineState s = states_[base + i];
+  if (s == LineState::Exclusive || !write) to_mru(base, i);
+  return s;
 }
 
 std::optional<Cache::Eviction> Cache::insert(Block b, LineState s) {

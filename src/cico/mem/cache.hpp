@@ -30,8 +30,10 @@ class Cache {
 
   [[nodiscard]] bool contains(Block b) const { return state_of(b) != LineState::Invalid; }
 
-  /// Moves the block to MRU position.  Returns false if not present.
-  bool touch(Block b);
+  /// One processor access: returns the block's state (Invalid if not
+  /// present) and, when the access hits -- Exclusive, or Shared for a
+  /// read -- moves the block to MRU.  One way lookup per access.
+  LineState access(Block b, bool write);
 
   struct Eviction {
     Block block;

@@ -55,12 +55,11 @@ ServiceResult dropped_result(Cycle now, const CostModel& cost) {
 Dir1SW::Dir1SW(std::uint32_t nodes, const CostModel& cost, net::Network& net,
                Stats& stats, CacheControl& caches)
     : nodes_(nodes), cost_(cost), net_(&net), stats_(&stats), caches_(&caches),
-      slices_(nodes), dirty_(nodes) {}
+      dirty_(nodes) {}
 
 const DirEntry* Dir1SW::entry(Block b) const {
-  const auto& slice = slices_[home_of(b)];
-  auto it = slice.find(b);
-  return it == slice.end() ? nullptr : &it->second;
+  auto it = entries_.find(b);
+  return it == entries_.end() ? nullptr : &it->second;
 }
 
 Cycle Dir1SW::handler_stall(Block b, NodeId req, Cycle at) {
@@ -422,16 +421,14 @@ void Dir1SW::check_block(Block b, const DirEntry& e,
 
 std::string Dir1SW::check_invariants() const {
   std::ostringstream bad;
-  // Walk homes in ascending order and blocks sorted within each slice so
-  // diagnostics come out in a stable order regardless of hash-map layout.
-  std::vector<Block> blocks;
-  for (const auto& slice : slices_) {
-    blocks.clear();
-    blocks.reserve(slice.size());
-    for (const auto& [b, unused] : slice) blocks.push_back(b);
-    std::sort(blocks.begin(), blocks.end());
-    for (const Block b : blocks) check_block(b, slice.at(b), bad);
-  }
+  // Walk homes in ascending order and blocks ascending within each home
+  // so diagnostics come out in a stable order regardless of hash-map
+  // layout.
+  std::vector<std::pair<NodeId, Block>> blocks;
+  blocks.reserve(entries_.size());
+  for (const auto& [b, unused] : entries_) blocks.emplace_back(home_of(b), b);
+  std::sort(blocks.begin(), blocks.end());
+  for (const auto& [h, b] : blocks) check_block(b, entries_.at(b), bad);
   return bad.str();
 }
 
@@ -440,12 +437,11 @@ std::string Dir1SW::check_invariants_incremental() {
   // Same home-ascending, block-ascending order as the full walk; BlockSet
   // iteration is already ascending, so no sort is needed.
   for (NodeId h = 0; h < nodes_; ++h) {
-    const auto& slice = slices_[h];
     for (const Block b : dirty_[h]) {
       // ent() marks conservatively; a dirty block with no entry was only
       // ever read through a const path and is equivalent to Idle.
-      auto it = slice.find(b);
-      if (it != slice.end()) check_block(b, it->second, bad);
+      auto it = entries_.find(b);
+      if (it != entries_.end()) check_block(b, it->second, bad);
     }
   }
   std::string diag = bad.str();

@@ -142,9 +142,8 @@ class Dir1SW final : public Protocol {
   /// The single choke point through which every handler reaches an entry;
   /// marking here is what makes the incremental audit's memo sound.
   DirEntry& ent(Block b) {
-    const NodeId h = home_of(b);
-    dirty_[h].insert(b);
-    return slices_[h][b];
+    dirty_[home_of(b)].insert(b);
+    return entries_[b];
   }
 
   /// One block's share of check_invariants (stable diagnostic order).
@@ -164,11 +163,11 @@ class Dir1SW final : public Protocol {
   net::Network* net_;
   Stats* stats_;
   CacheControl* caches_;
-  /// Directory storage, partitioned by home node (slices_[home_of(b)]);
-  /// audits walk it home by home, which fixes their diagnostic order.
-  std::vector<std::unordered_map<Block, DirEntry>> slices_;
+  /// Directory storage, every home's slice in one map; audits sort its
+  /// blocks by (home, block), which fixes their diagnostic order.
+  std::unordered_map<Block, DirEntry> entries_;
   /// Blocks touched through ent() since the last clean incremental audit,
-  /// partitioned like slices_.
+  /// partitioned by home node (dirty_[home_of(b)]).
   std::vector<kern::BlockSet> dirty_;
 };
 

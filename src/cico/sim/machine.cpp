@@ -82,7 +82,10 @@ void Machine::run(const std::function<void(Proc&)>& body) {
 
   // Epoch 0 begins at time zero: apply its planned start directives before
   // any node executes.
-  for (NodeId n = 0; n < cfg_.nodes; ++n) apply_epoch_start(n, 0);
+  for (NodeId n = 0; n < cfg_.nodes; ++n) {
+    if (plan_ != nullptr) ctxs_[n]->plan_dirs = plan_->find(n, 0);
+    apply_epoch_start(n, 0);
+  }
 
   window_end_ = cfg_.quantum;
   for (NodeId n = 0; n < cfg_.nodes; ++n) {
@@ -191,6 +194,7 @@ void Machine::compute(NodeId n, Cycle cycles) {
 }
 
 void Machine::consume_prefetch(NodeCtx& c, NodeId n, Block b) {
+  if (c.prefetch_ready.empty()) return;
   auto it = c.prefetch_ready.find(b);
   if (it == c.prefetch_ready.end()) return;
   if (it->second > c.now) {
@@ -210,8 +214,7 @@ void Machine::after_access(NodeCtx& c, NodeId n, Block b, bool write) {
   // node WRITES, "after the use" means after the write of the
   // read-modify-write (the section 4.4 listing); for read-only raced
   // blocks, after any access.
-  if (plan_ == nullptr) return;
-  const NodeEpochDirectives* ned = plan_->find(n, c.epoch);
+  const NodeEpochDirectives* ned = c.plan_dirs;
   if (ned == nullptr) return;
   const bool fire = ned->checkin_after_access.contains(b) ||
                     (write && ned->checkin_after_write.contains(b));
@@ -238,11 +241,10 @@ void Machine::access(NodeId n, Addr a, std::uint32_t size, bool write, PcId pc) 
   NodeCtx& c = *ctxs_[n];
   stats_.add(n, write ? Stat::SharedStores : Stat::SharedLoads);
   const Block b = cfg_.cache.block_of(a);
-  const LineState ls = c.cache.state_of(b);
+  const LineState ls = c.cache.access(b, write);
   const bool hit = ls == LineState::Exclusive || (!write && ls == LineState::Shared);
   if (hit) {
     consume_prefetch(c, n, b);
-    c.cache.touch(b);
     c.now += cfg_.cost.hit;
     after_access(c, n, b, write);
     maybe_window_park(c);
@@ -598,10 +600,9 @@ void Machine::service_mem(NodeCtx& c, NodeId n) {
 
   // Another boundary action (prefetch fill, earlier directive) may have
   // satisfied the access already.
-  const LineState ls = c.cache.state_of(b);
   const bool write = c.op_write;
+  const LineState ls = c.cache.access(b, write);
   if ((ls == LineState::Exclusive) || (!write && ls != LineState::Invalid)) {
-    c.cache.touch(b);
     c.now = t + cfg_.cost.hit;
     c.wait = NodeCtx::Wait::Ready;
     return;
@@ -624,8 +625,7 @@ void Machine::service_mem(NodeCtx& c, NodeId n) {
   } else {
     kind = trace::MissKind::ReadMiss;
     if (first_attempt) stats_.add(n, Stat::ReadMisses);
-    const NodeEpochDirectives* ned =
-        plan_ != nullptr ? plan_->find(n, c.epoch) : nullptr;
+    const NodeEpochDirectives* ned = c.plan_dirs;
     if (ned != nullptr && ned->fetch_exclusive.contains(b)) {
       // Performance-CICO check_out_X placed immediately before the first
       // read of a read-then-written block (section 4.1): fetch the block
@@ -680,9 +680,8 @@ Cycle Machine::do_checkout(NodeCtx& c, NodeId n, DirectiveKind kind,
   for (Block b = run.first; b <= run.last; ++b) {
     stats_.add(n, excl ? Stat::CheckOutX : Stat::CheckOutS);
     t += cfg_.cost.directive_issue;
-    const LineState ls = c.cache.state_of(b);
+    const LineState ls = c.cache.access(b, excl);
     if (ls == LineState::Exclusive || (!excl && ls != LineState::Invalid)) {
-      c.cache.touch(b);
       continue;
     }
     // Check-out ranges block the node but are serviced in one boundary
@@ -882,6 +881,7 @@ bool Machine::try_complete_barrier() {
     NodeCtx& c = *ctxs_[n];
     c.now = t;
     c.epoch = global_epoch_;
+    if (plan_ != nullptr) c.plan_dirs = plan_->find(n, c.epoch);
     stats_.add(n, Stat::Barriers);
     c.wait = NodeCtx::Wait::Ready;
     c.prefetch_nacks = 0;       // throttled prefetch engines recover at the

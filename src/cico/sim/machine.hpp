@@ -218,6 +218,8 @@ class Machine {
 
     Cycle now = 0;
     EpochId epoch = 0;
+    /// plan_->find(node, epoch): set by run(), refreshed when epoch moves.
+    const NodeEpochDirectives* plan_dirs = nullptr;
     Wait wait = Wait::Running;
     bool resumable = false;
     bool lock_queued = false;  ///< lock request already sits in a queue

@@ -6,16 +6,17 @@
 // compute real results that tests can verify.  Every element access first
 // reports itself to the simulator (charging hit/miss cycles and updating
 // protocol state) and then performs the actual load/store.  Elements are
-// relaxed atomics: a data race in the simulated program (like the paper's
-// matrix-multiply example, section 4.4, which Cachier *flags*) is a benign
-// value race here, never host UB.
+// plain host values: a Machine runs every node as a fiber on one host
+// thread and never shares its arrays with another Machine, so a data race
+// in the simulated program (like the paper's matrix-multiply example,
+// section 4.4, which Cachier *flags*) interleaves at fiber switches only
+// and is never a host data race.
 //
 // Construction allocates a labelled region from the machine's SharedHeap;
 // the label is the paper's "labelled region of memory mapped onto program
 // data structures" (section 4.3).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -26,15 +27,12 @@ namespace cico::sim {
 
 template <class T>
 class SharedArray {
-  static_assert(std::atomic<T>::is_always_lock_free,
-                "element type must be lock-free atomic");
-
  public:
   /// Allocates `n` elements labelled `label`.  `regular=false` marks a
   /// pointer-style region (excluded from prefetch planning).
   SharedArray(Machine& m, std::string label, std::size_t n, bool regular = true)
       : base_(m.heap().alloc(n * sizeof(T), std::move(label), regular)),
-        data_(std::make_unique<std::atomic<T>[]>(n)),
+        data_(std::make_unique<T[]>(n)),
         n_(n) {}
 
   [[nodiscard]] std::size_t size() const { return n_; }
@@ -45,27 +43,23 @@ class SharedArray {
   /// Simulated load.
   [[nodiscard]] T ld(Proc& p, std::size_t i, PcId pc) const {
     p.ld(addr_of(i), sizeof(T), pc);
-    return data_[i].load(std::memory_order_relaxed);
+    return data_[i];
   }
 
   /// Simulated store.
   void st(Proc& p, std::size_t i, T v, PcId pc) {
     p.st(addr_of(i), sizeof(T), pc);
-    data_[i].store(v, std::memory_order_relaxed);
+    data_[i] = v;
   }
 
   /// Non-simulated access, for initialization before run() and for
   /// verification afterwards.
-  [[nodiscard]] T raw(std::size_t i) const {
-    return data_[i].load(std::memory_order_relaxed);
-  }
-  void set_raw(std::size_t i, T v) {
-    data_[i].store(v, std::memory_order_relaxed);
-  }
+  [[nodiscard]] T raw(std::size_t i) const { return data_[i]; }
+  void set_raw(std::size_t i, T v) { data_[i] = v; }
 
  private:
   Addr base_;
-  std::unique_ptr<std::atomic<T>[]> data_;
+  std::unique_ptr<T[]> data_;
   std::size_t n_;
 };
 

@@ -1,6 +1,9 @@
 #include "cico/store/store.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -45,23 +48,6 @@ constexpr char kV1Magic[8] = {'c', 'i', 'c', 'o', 't', 'r', 'c', '1'};
          std::memcmp(bytes.data(), kV1Magic, sizeof(kV1Magic)) == 0;
 }
 
-/// Atomic file write: tmp then rename, so readers never see half a file.
-void write_file(const std::string& path, std::string_view bytes) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary);
-    if (!out) fail("cannot write " + tmp);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out) fail("cannot write " + tmp);
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    fail("cannot rename into place: " + path);
-  }
-}
-
 [[nodiscard]] std::string read_file(const std::string& path,
                                     const std::string& what) {
   std::ifstream in(path, std::ios::binary);
@@ -85,6 +71,28 @@ void write_file(const std::string& path, std::string_view bytes) {
 }
 
 }  // namespace
+
+void write_file_atomic(const std::string& path, std::string_view bytes) {
+  static std::atomic<std::uint64_t> seq{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(seq.fetch_add(1));
+  std::error_code ec;
+  {
+    std::ofstream out(tmp, std::ios::binary);
+    if (out) {
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    if (!out) {
+      fs::remove(tmp, ec);
+      fail("cannot write " + tmp);
+    }
+  }
+  fs::rename(tmp, path, ec);
+  if (ec) {
+    fs::remove(tmp, ec);
+    fail("cannot rename into place: " + path);
+  }
+}
 
 const char* artifact_kind_name(ArtifactKind k) {
   switch (k) {
@@ -140,7 +148,7 @@ ObjectStore::PutObject ObjectStore::put_object(std::string_view bytes) {
   std::error_code ec;
   fs::create_directories(dir_ + "/objects/" + r.hash_hex.substr(0, 2), ec);
   if (ec) fail("cannot create object directory: " + ec.message());
-  write_file(path, bytes);
+  write_file_atomic(path, bytes);
   r.was_new = true;
   return r;
 }
@@ -327,7 +335,7 @@ void ObjectStore::write_manifest(const Manifest& m) {
     arr.push_back(std::move(e));
   }
   j.set("objects", std::move(arr));
-  write_file(manifest_path(m.name), j.dump_string());
+  write_file_atomic(manifest_path(m.name), j.dump_string());
 }
 
 }  // namespace cico::store

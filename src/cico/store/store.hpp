@@ -68,6 +68,13 @@ struct GcStats {
   std::uint64_t bytes_freed = 0;
 };
 
+/// Atomic file write: the bytes go to a temp file named uniquely per
+/// process and call, then rename onto `path`, so readers never see half a
+/// file and concurrent writers of one path (threads, or a CLI and a
+/// cachierd sharing a directory) never share a temp file.  Throws
+/// `store:` on failure, leaving no temp file behind.
+void write_file_atomic(const std::string& path, std::string_view bytes);
+
 /// True when `name` is a valid manifest name: [A-Za-z0-9._-]+, not
 /// starting with '.' (no path separators, no hidden files, portable).
 [[nodiscard]] bool validate_name(std::string_view name);

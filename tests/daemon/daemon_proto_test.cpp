@@ -15,6 +15,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "cico/common/hash.hpp"
 #include "cico/common/io.hpp"
@@ -477,6 +478,67 @@ TEST(ResultCache, CorruptDiskFileIsAMiss) {
     out << "{ half a json";
   }
   EXPECT_FALSE(cache.lookup(key).has_value());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ResultCache, ConcurrentLookupsAndInsertsStayExact) {
+  // Disk I/O runs outside the cache lock, so several workers may read,
+  // write and reload one key at once.  A memory tier smaller than the key
+  // set forces reloads from the file tier while other threads rewrite it.
+  // Every round re-inserts, so writers of one key overlap all the time.
+  const std::string dir = ::testing::TempDir() + "cachier_cache_concurrent";
+  std::filesystem::remove_all(dir);
+  constexpr int kThreads = 4, kKeys = 3, kRounds = 40;
+  const auto key_of = [](int k) { return std::string(32, "0123456789"[k]); };
+  const auto result_of = [](int k) {
+    JobResult r;
+    r.exit = k % 3;
+    r.out = std::string(64 * 1024, static_cast<char>('a' + k)) + "#" +
+            std::to_string(k);
+    r.report = "{\"k\": " + std::to_string(k) + std::string(1024, ' ') + "}";
+    r.events = std::string(300 + k, 'e');
+    // Diagnostics stay inline, so the entry file itself is large too.
+    r.diags.assign(2000, "diag " + std::to_string(k) + "\n");
+    return r;
+  };
+  std::atomic<int> mismatches{0};
+  {
+    ResultCache cache(dir, /*max_entries=*/2);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        for (int i = 0; i < kRounds; ++i) {
+          const int k = (t + i) % kKeys;
+          const JobResult want = result_of(k);
+          if (const auto hit = cache.lookup(key_of(k))) {
+            if (hit->out != want.out || hit->report != want.report ||
+                hit->events != want.events || hit->diags != want.diags ||
+                hit->exit != want.exit || hit->key != key_of(k)) {
+              ++mismatches;
+            }
+          }
+          cache.insert(key_of(k), want);
+        }
+      });
+    }
+    for (auto& w : workers) w.join();
+    const ResultCache::Counters c = cache.counters();
+    EXPECT_EQ(c.hits + c.misses, std::uint64_t{kThreads * kRounds});
+    EXPECT_EQ(c.inserts, std::uint64_t{kThreads * kRounds});
+    EXPECT_GT(c.disk_loads, 0u);
+  }
+  EXPECT_EQ(mismatches.load(), 0);
+  // Every write renamed its own temp file into place; none is left over.
+  for (const auto& de : std::filesystem::recursive_directory_iterator(dir)) {
+    EXPECT_EQ(de.path().filename().string().find(".tmp"), std::string::npos)
+        << de.path();
+  }
+  ResultCache fresh(dir);  // the file tier holds every key, intact
+  for (int k = 0; k < kKeys; ++k) {
+    const auto hit = fresh.lookup(key_of(k));
+    ASSERT_TRUE(hit.has_value()) << k;
+    EXPECT_EQ(hit->out, result_of(k).out) << k;
+  }
   std::filesystem::remove_all(dir);
 }
 

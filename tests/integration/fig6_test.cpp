@@ -3,7 +3,7 @@
 // simulated Dir1SW nodes.  Simulated cycles are deterministic, so every
 // app x variant normalized time is pinned exactly (to the three decimals
 // EXPERIMENTS.md records), and the section 6 shape claims are asserted on
-// the unrounded values.
+// the unrounded values.  Each app is its own ctest entry (fig6_test_<app>).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -27,53 +27,66 @@ struct Pinned {
   std::map<std::string, std::string> norm;
 };
 
-TEST(Fig6, PinnedTimesAndSection6Shape) {
+const Pinned kTable[] = {
+    {"matmul", bench::matmul_factory,
+     {{"none", "1.000"}, {"hand", "0.958"}, {"hand+pf", "0.931"},
+      {"cachier", "0.951"}, {"cachier+pf", "0.869"}}},
+    {"barnes", bench::barnes_factory,
+     {{"none", "1.000"}, {"hand", "0.855"}, {"cachier", "0.846"},
+      {"cachier+pf", "0.846"}}},
+    {"tomcatv", bench::tomcatv_factory,
+     {{"none", "1.000"}, {"hand", "0.990"}, {"cachier", "0.964"},
+      {"cachier+pf", "0.944"}}},
+    {"ocean", bench::ocean_factory,
+     {{"none", "1.000"}, {"hand", "0.912"}, {"cachier", "0.748"},
+      {"cachier+pf", "0.624"}}},
+    {"mp3d", bench::mp3d_factory,
+     {{"none", "1.000"}, {"hand", "1.075"}, {"cachier", "0.364"},
+      {"cachier+pf", "0.367"}}},
+};
+
+/// One app per test, so tests/CMakeLists.txt registers one ctest entry
+/// per app (gtest filter `*/<app>`) and `ctest -j` overlaps them.
+class Fig6 : public ::testing::TestWithParam<Pinned> {};
+
+TEST_P(Fig6, PinnedTimesAndSection6Shape) {
   ::unsetenv("CICO_BENCH_SCALE");  // the pins hold for the default sizes
-  const Pinned table[] = {
-      {"matmul", bench::matmul_factory,
-       {{"none", "1.000"}, {"hand", "0.958"}, {"hand+pf", "0.931"},
-        {"cachier", "0.951"}, {"cachier+pf", "0.869"}}},
-      {"barnes", bench::barnes_factory,
-       {{"none", "1.000"}, {"hand", "0.855"}, {"cachier", "0.846"},
-        {"cachier+pf", "0.846"}}},
-      {"tomcatv", bench::tomcatv_factory,
-       {{"none", "1.000"}, {"hand", "0.990"}, {"cachier", "0.964"},
-        {"cachier+pf", "0.944"}}},
-      {"ocean", bench::ocean_factory,
-       {{"none", "1.000"}, {"hand", "0.912"}, {"cachier", "0.748"},
-        {"cachier+pf", "0.624"}}},
-      {"mp3d", bench::mp3d_factory,
-       {{"none", "1.000"}, {"hand", "1.075"}, {"cachier", "0.364"},
-        {"cachier+pf", "0.367"}}},
-  };
-  std::map<std::string, std::map<std::string, double>> norm;
-  for (const Pinned& p : table) {
-    SCOPED_TRACE(p.app);
-    std::vector<Variant> vs{Variant::None, Variant::Hand, Variant::Cachier,
-                            Variant::CachierPf};
-    if (p.norm.contains("hand+pf")) {
-      vs.insert(vs.begin() + 2, Variant::HandPf);
-    }
-    Harness h(p.factory(), bench::fig6_config());
-    const std::vector<RunResult> rs = h.run_variants(vs);
-    ASSERT_EQ(rs.size(), p.norm.size());
-    for (const RunResult& r : rs) {
-      EXPECT_TRUE(r.verified) << r.variant;
-      const double n = r.normalized_to(rs.front());
-      char got[32];
-      std::snprintf(got, sizeof got, "%.3f", n);
-      EXPECT_EQ(got, p.norm.at(r.variant)) << r.variant;
-      norm[p.app][r.variant] = n;
-    }
-    EXPECT_LE(norm[p.app]["cachier"], norm[p.app]["hand"])
-        << "Cachier must match or beat the hand annotations";
+  const Pinned& p = GetParam();
+  const std::string app = p.app;
+  std::vector<Variant> vs{Variant::None, Variant::Hand, Variant::Cachier,
+                          Variant::CachierPf};
+  if (p.norm.contains("hand+pf")) {
+    vs.insert(vs.begin() + 2, Variant::HandPf);
   }
-  EXPECT_GT(norm["mp3d"]["hand"], 1.0) << "Mp3d hand is worse than none";
-  EXPECT_LE(std::abs(norm["tomcatv"]["cachier"] - 1.0), 0.05);
-  for (const char* app : {"matmul", "ocean"}) {
-    EXPECT_LT(norm[app]["cachier+pf"], norm[app]["cachier"])
+  Harness h(p.factory(), bench::fig6_config());
+  const std::vector<RunResult> rs = h.run_variants(vs);
+  ASSERT_EQ(rs.size(), p.norm.size());
+  std::map<std::string, double> norm;
+  for (const RunResult& r : rs) {
+    EXPECT_TRUE(r.verified) << r.variant;
+    const double n = r.normalized_to(rs.front());
+    char got[32];
+    std::snprintf(got, sizeof got, "%.3f", n);
+    EXPECT_EQ(got, p.norm.at(r.variant)) << r.variant;
+    norm[r.variant] = n;
+  }
+  EXPECT_LE(norm["cachier"], norm["hand"])
+      << "Cachier must match or beat the hand annotations";
+  if (app == "mp3d") {
+    EXPECT_GT(norm["hand"], 1.0) << "Mp3d hand is worse than none";
+  }
+  if (app == "tomcatv") {
+    EXPECT_LE(std::abs(norm["cachier"] - 1.0), 0.05);
+  }
+  if (app == "matmul" || app == "ocean") {
+    EXPECT_LT(norm["cachier+pf"], norm["cachier"])
         << "prefetch must help " << app;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Apps, Fig6, ::testing::ValuesIn(kTable),
+                         [](const ::testing::TestParamInfo<Pinned>& info) {
+                           return std::string(info.param.app);
+                         });
 
 }  // namespace

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+
 #include "cico/lang/parser.hpp"
+#include "cico/srcann/annotator.hpp"
 
 namespace cico::lang {
 namespace {
@@ -207,6 +212,190 @@ TEST(InterpTest, TraceRecordsMiniParAccesses) {
   // Every miss pc maps back to an AST node.
   for (const auto& ms : t.misses) {
     EXPECT_NE(lp.ast_for(ms.pc), 0u);
+  }
+}
+
+// --- Load-time name resolution ----------------------------------------------
+// Names are bound to frame slots and arrays once per LoadedProgram; these
+// pin the run-time semantics that binding must keep.
+
+/// The InterpError message a program raises ("" when it runs clean).
+std::string error_of(const std::string& src, std::uint32_t nodes = 1) {
+  try {
+    run(src, nodes);
+  } catch (const InterpError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(InterpTest, PrivateShadowsConstOnlyAfterFirstWrite) {
+  auto r = run(R"(
+    const K = 5;
+    shared real A[4];
+    shared real B[2];
+    parallel
+      if pid == 0 then
+        for i = 0 to 2 do
+          A[i] = K;
+          K = 7 + i;
+        od
+        A[3] = K;
+      fi
+      B[pid] = K;
+    end
+  )", 2);
+  // The same read node sees the const, then the private it shadows.
+  EXPECT_DOUBLE_EQ(r.lp->value("A", 0), 5.0);
+  EXPECT_DOUBLE_EQ(r.lp->value("A", 1), 7.0);
+  EXPECT_DOUBLE_EQ(r.lp->value("A", 2), 8.0);
+  EXPECT_DOUBLE_EQ(r.lp->value("A", 3), 9.0);
+  // Frames are per node: node 1 never wrote K.
+  EXPECT_DOUBLE_EQ(r.lp->value("B", 0), 9.0);
+  EXPECT_DOUBLE_EQ(r.lp->value("B", 1), 5.0);
+  EXPECT_DOUBLE_EQ(r.lp->const_value("K"), 5.0);
+}
+
+TEST(InterpTest, LoopVariableKeepsLastValueAfterOd) {
+  auto r = run(R"(
+    shared real A[3];
+    parallel
+      for i = 0 to 3 do od
+      A[0] = i;
+      for j = 0 to 5 step 2 do od
+      A[1] = j;
+      for k = 3 to 0 step 0 - 1 do od
+      A[2] = k;
+    end
+  )", 1);
+  EXPECT_DOUBLE_EQ(r.lp->value("A", 0), 3.0);
+  EXPECT_DOUBLE_EQ(r.lp->value("A", 1), 4.0);  // the last value taken, not 6
+  EXPECT_DOUBLE_EQ(r.lp->value("A", 2), 0.0);
+  // A loop that never runs never binds its variable.
+  EXPECT_EQ(error_of("shared real A[1];\nparallel\n  for m = 5 to 0 do od\n"
+                     "  A[0] = m;\nend"),
+            "unknown variable 'm' (line 4)");
+}
+
+TEST(InterpTest, UnknownNamesInUntakenBranchesDoNotThrow) {
+  auto r = run(R"(
+    const K = 1;
+    shared real A[2];
+    parallel
+      if pid == 99 then
+        A[0] = nope + Z[0];
+        W[0] = 1;
+        check_in Q[0:1];
+        lock L[0];
+        unlock L[0];
+      fi
+      A[pid] = K;
+    end
+  )", 2);
+  EXPECT_DOUBLE_EQ(r.lp->value("A", 0), 1.0);
+  EXPECT_DOUBLE_EQ(r.lp->value("A", 1), 1.0);
+}
+
+TEST(InterpTest, UnknownNameMessagesCarryTheLine) {
+  EXPECT_EQ(error_of("shared real A[4];\nparallel\n  A[0] = nope;\nend"),
+            "unknown variable 'nope' (line 3)");
+  EXPECT_EQ(error_of("parallel\n\n  private x = Z[0];\nend"),
+            "unknown shared array 'Z' (line 3)");
+  EXPECT_EQ(error_of("parallel\n  W[1] = 2;\nend"),
+            "unknown shared array 'W' (line 2)");
+  EXPECT_EQ(error_of("parallel\n  check_out_X Q[0:1];\nend"),
+            "unknown shared array 'Q' (line 2)");
+  EXPECT_EQ(error_of("parallel\n\n  lock L[0];\nend"),
+            "unknown shared array 'L' (line 3)");
+  // The error fires when the node reaches the statement, not at load.
+  EXPECT_EQ(error_of("shared real A[2];\nparallel\n  A[pid] = 1;\n"
+                     "  if pid == 1 then\n    A[0] = nope;\n  fi\nend",
+                     2),
+            "unknown variable 'nope' (line 5)");
+}
+
+/// Visits every expression reachable from a statement list, directive
+/// ranges included.
+void for_each_expr(const std::vector<StmtPtr>& stmts,
+                   const std::function<void(const Expr&)>& fn) {
+  std::function<void(const Expr&)> walk = [&](const Expr& e) {
+    fn(e);
+    for (const auto& a : e.args) walk(*a);
+  };
+  for (const auto& s : stmts) {
+    for (const auto* e : {s->rhs.get(), s->lo.get(), s->hi.get(),
+                          s->step.get(), s->cond.get()}) {
+      if (e != nullptr) walk(*e);
+    }
+    for (const auto& e : s->subs) walk(*e);
+    if (s->ref) {
+      for (const auto& r : s->ref->ranges) {
+        walk(*r.lo);
+        if (r.hi) walk(*r.hi);
+      }
+    }
+    for_each_expr(s->body, fn);
+    for_each_expr(s->else_body, fn);
+  }
+}
+
+constexpr const char* kReduce = R"(
+  const N = 16;
+  shared real A[N];
+  shared real S[1];
+  parallel
+    private per = N / nprocs;
+    private lo = pid * per;
+    for i = lo to lo + per - 1 do
+      A[i] = i * 2 + pid;
+    od
+    barrier;
+    if pid == 0 then
+      private s = 0;
+      for i = 0 to N - 1 do
+        s = s + A[i];
+      od
+      S[0] = s;
+    fi
+  end
+)";
+
+TEST(InterpTest, AnnotatedProgramWithClonedIdsMatchesSource) {
+  const Ran src = run(kReduce, 4);
+  Program annotated = srcann::annotate_naive(src.prog);
+  // The wrappers clone each lvalue subscript and keep its id, so ids repeat.
+  std::map<AstId, int> seen;
+  for_each_expr(annotated.body, [&](const Expr& e) { ++seen[e.id]; });
+  EXPECT_TRUE(std::any_of(seen.begin(), seen.end(),
+                          [](const auto& kv) { return kv.second > 1; }));
+  sim::Machine m(cfg(4));
+  LoadedProgram lp(annotated, m);
+  m.run([&](sim::Proc& p) { lp.run_node(p); });
+  EXPECT_GT(m.stats().total(Stat::CheckIns), 0u);
+  for (std::size_t i = 0; i < 16; ++i) {
+    EXPECT_DOUBLE_EQ(lp.value("A", i), src.lp->value("A", i)) << i;
+  }
+  EXPECT_DOUBLE_EQ(lp.value("S", 0), src.lp->value("S", 0));
+}
+
+TEST(InterpTest, NodesSharingAnIdMustShareAName) {
+  Program prog = parse(kReduce);
+  Program bad = srcann::annotate_naive(prog);
+  // Rename the clone of `A[i]`'s subscript in the check_out_X wrapper
+  // that precedes it, keeping the clone's id.
+  Stmt& loop = *bad.body[2];
+  ASSERT_EQ(loop.kind, StmtKind::For);
+  ASSERT_EQ(loop.body[0]->kind, StmtKind::Directive);
+  Expr& clone = *loop.body[0]->ref->ranges[0].lo;
+  ASSERT_EQ(clone.id, loop.body[1]->subs[0]->id);
+  clone.name = "j";
+  sim::Machine m(cfg(4));
+  try {
+    LoadedProgram lp(bad, m);
+    FAIL() << "load accepted an id naming both 'i' and 'j'";
+  } catch (const InterpError& e) {
+    EXPECT_NE(std::string(e.what()).find("names both"), std::string::npos)
+        << e.what();
   }
 }
 

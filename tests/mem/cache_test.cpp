@@ -68,19 +68,31 @@ TEST(CacheTest, SetConflictEvictsLru) {
   EXPECT_EQ(c.state_of(8), LineState::Shared);
 }
 
-TEST(CacheTest, TouchChangesVictim) {
+TEST(CacheTest, AccessHitChangesVictim) {
   Cache c(small_geo());
   c.insert(0, LineState::Shared);
   c.insert(4, LineState::Exclusive);
-  EXPECT_TRUE(c.touch(0));  // 4 becomes LRU
+  EXPECT_EQ(c.access(0, false), LineState::Shared);  // 4 becomes LRU
   auto v = c.insert(8, LineState::Shared);
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(v->block, 4u);
 }
 
-TEST(CacheTest, TouchMissingReturnsFalse) {
+TEST(CacheTest, WriteToSharedLineIsNoHit) {
   Cache c(small_geo());
-  EXPECT_FALSE(c.touch(123));
+  c.insert(0, LineState::Shared);
+  c.insert(4, LineState::Exclusive);
+  // A write fault reports the Shared state but leaves 0 as LRU.
+  EXPECT_EQ(c.access(0, true), LineState::Shared);
+  auto v = c.insert(8, LineState::Shared);
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->block, 0u);
+}
+
+TEST(CacheTest, AccessMissingReturnsInvalid) {
+  Cache c(small_geo());
+  EXPECT_EQ(c.access(123, false), LineState::Invalid);
+  EXPECT_EQ(c.occupancy(), 0u);
 }
 
 TEST(CacheTest, EraseReturnsPriorState) {
@@ -139,13 +151,13 @@ TEST(CacheTest, OccupancyBoundedByCapacity) {
 TEST(CacheTest, LruOrderProperty) {
   CacheGeometry g = small_geo();
   Cache c(g);
-  // Set 0 holds blocks congruent to 0 mod 4.  Insert 0,4; touch in a known
-  // pattern; verify eviction order matches least-recent use.
+  // Set 0 holds blocks congruent to 0 mod 4.  Insert 0,4; read-hit in a
+  // known pattern; verify eviction order matches least-recent use.
   c.insert(0, LineState::Shared);
   c.insert(4, LineState::Shared);
-  c.touch(0);
-  c.touch(4);
-  c.touch(0);  // LRU is 4
+  c.access(0, false);
+  c.access(4, false);
+  c.access(0, false);  // LRU is 4
   auto v1 = c.insert(8, LineState::Shared);
   ASSERT_TRUE(v1.has_value());
   EXPECT_EQ(v1->block, 4u);

@@ -13,11 +13,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cico/store/format.hpp"
@@ -227,6 +229,46 @@ TEST(FormatV2Test, RejectsBadMagicAndVersion) {
 }
 
 // --- object store -----------------------------------------------------------
+
+TEST(ObjectStoreTest, ConcurrentAtomicWritesOfOnePathNeverMix) {
+  // Writers of one path (two cachierd workers, or a CLI and a cachierd on
+  // one cache directory) each get their own temp file: no write fails,
+  // the file always holds exactly one writer's bytes, and no temp file
+  // is left behind.
+  TempDir d;
+  const std::string path = d.sub("entry.json");
+  constexpr int kThreads = 4, kRounds = 25;
+  std::atomic<int> failures{0}, torn{0};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      const std::string mine(256 * 1024, static_cast<char>('a' + t));
+      for (int i = 0; i < kRounds; ++i) {
+        try {
+          write_file_atomic(path, mine);
+        } catch (const std::exception&) {
+          ++failures;
+        }
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream ss;
+        ss << in.rdbuf();
+        const std::string got = ss.str();
+        if (got.size() != mine.size() ||
+            got.find_first_not_of(got.front()) != std::string::npos) {
+          ++torn;
+        }
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(torn.load(), 0);
+  std::vector<std::string> names;
+  for (const auto& de : fs::directory_iterator(d.path)) {
+    names.push_back(de.path().filename().string());
+  }
+  EXPECT_EQ(names, std::vector<std::string>{"entry.json"});
+}
 
 TEST(ObjectStoreTest, ValidatesNames) {
   EXPECT_TRUE(validate_name("run-2026.08.08_a"));
