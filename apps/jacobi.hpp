@@ -9,8 +9,8 @@
 //     2NPT(1+b)/b + N^2/b   cache blocks   (cache-fit case), or
 //     (2NP(1+b)/b + N^2/b)T cache blocks   (column-fit case).
 //
-// bench_jacobi_cost regenerates that table and compares it against the
-// measured checkout counts of this app.  The decomposition and the
+// paper_test (EXPERIMENTS.md E2) pins that table against the measured
+// checkout counts of this app.  The decomposition and the
 // boundary-copy-then-stencil structure follow the paper's pseudo-code;
 // rows/columns are stored row-major here, so the paper's "columns" map to
 // our contiguous rows (the formulas are symmetric, see EXPERIMENTS.md).

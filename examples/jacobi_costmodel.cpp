@@ -59,7 +59,7 @@ int main() {
   std::printf(
       "\n(The measured cache-fit count exceeds the single-matrix model by\n"
       "exactly N^2/b: this Jacobi double-buffers, so the one-time block\n"
-      "checkout happens for both buffers -- see bench_jacobi_cost for the\n"
+      "checkout happens for both buffers -- see EXPERIMENTS.md E2 for the\n"
       "adjusted model, which matches to the block.)\n");
   return 0;
 }

@@ -1,9 +1,8 @@
-// Canonical unsigned LEB128 varints, shared by the binary trace codec
-// (trace/trace.cpp) and the epoch-chunked store format (store/format.cpp).
+// Canonical unsigned LEB128 varints for the epoch-chunked v2 trace format
+// (store/format.cpp).
 //
 // Content-addressing is only sound if equal values encode to equal bytes
-// and vice versa, so the reader enforces BOTH canonicality properties the
-// first binary codec missed:
+// and vice versa, so the reader enforces both canonicality properties:
 //
 //   * minimal length -- a final zero group after at least one continuation
 //     byte (e.g. `0x80 0x00` for 0) is rejected, so every value has
@@ -83,10 +82,9 @@ inline std::uint64_t get_varint(std::istream& is, const char* ctx = "varint") {
   return previous + d;
 }
 
-/// Range-checked narrowing for varint-decoded fields.  The binary trace
-/// loader used to `static_cast` 64-bit varints straight into 32-bit ids,
-/// silently truncating out-of-range input; this throws like the text
-/// loader's parse_num path instead.
+/// Range-checked narrowing for varint-decoded fields: a value that does
+/// not fit its 32-bit id is malformed input, so this throws like the text
+/// loader's parse_num path instead of silently truncating.
 template <typename T>
 [[nodiscard]] T narrow_varint(std::uint64_t v, const char* ctx,
                               const char* what) {

@@ -7,7 +7,7 @@
 // per-sharer serialization at the directory), and dirty copies are
 // forwarded.  There are no traps, so CICO check-ins can only save the
 // (much smaller) hardware invalidation/forwarding costs.
-// `bench_protocol_sensitivity` quantifies exactly that.
+// EXPERIMENTS.md X2 quantifies exactly that.
 #pragma once
 
 #include <cstdint>

@@ -1,11 +1,11 @@
 // Epoch-chunked binary trace format v2.
 //
-// The v1 binary codec is one flat record stream: compact, but a one-byte
-// change anywhere re-encodes nothing and shares nothing.  Fleet-scale
-// regression traffic is near-identical runs -- the same app, the same
-// node count, one epoch's behaviour changed -- so v2 groups records into
-// independently decodable per-epoch-group chunks, each carrying its own
-// length and 128-bit content hash.  The content-addressed store
+// A flat record stream is compact, but a one-byte change anywhere
+// re-encodes nothing and shares nothing.  Fleet-scale regression traffic
+// is near-identical runs -- the same app, the same node count, one
+// epoch's behaviour changed -- so v2 groups records into independently
+// decodable per-epoch-group chunks, each carrying its own length and
+// 128-bit content hash.  The content-addressed store
 // (store.hpp) keys objects by those chunk boundaries, so two runs
 // differing in one epoch share every other chunk on disk, and `cachier
 // sync` moves only the delta.

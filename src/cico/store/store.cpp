@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -25,7 +24,6 @@ namespace {
 
 constexpr std::size_t kBlobChunkBytes = 64u * 1024;
 constexpr char kTextHeader[] = "cico-trace v1\n";
-constexpr char kV1Magic[8] = {'c', 'i', 'c', 'o', 't', 'r', 'c', '1'};
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("store: " + what);
@@ -41,11 +39,6 @@ constexpr char kV1Magic[8] = {'c', 'i', 'c', 'o', 't', 'r', 'c', '1'};
 [[nodiscard]] bool is_text_trace(std::string_view bytes) {
   return bytes.size() >= sizeof(kTextHeader) - 1 &&
          bytes.substr(0, sizeof(kTextHeader) - 1) == kTextHeader;
-}
-
-[[nodiscard]] bool is_v1_trace(std::string_view bytes) {
-  return bytes.size() >= sizeof(kV1Magic) &&
-         std::memcmp(bytes.data(), kV1Magic, sizeof(kV1Magic)) == 0;
 }
 
 [[nodiscard]] std::string read_file(const std::string& path,
@@ -166,21 +159,14 @@ PutStats ObjectStore::put(const std::string& name, std::string_view bytes) {
   if (!validate_name(name)) fail("invalid artifact name '" + name + "'");
 
   // Traces are normalized to the chunk-shareable v2 form; anything else
-  // is a blob.  Text and v1 binary go through their strict loaders, so a
-  // malformed trace fails the put with a `trace:` error instead of being
-  // stored as an opaque blob.
+  // is a blob.  Text goes through its strict loader, so a malformed text
+  // trace fails the put with a `trace:` error instead of being stored as
+  // an opaque blob.
   std::string v2;
   ArtifactKind kind = ArtifactKind::Blob;
   if (is_text_trace(bytes)) {
     std::istringstream is{std::string(bytes)};
     const trace::Trace t = trace::load_text(is);
-    std::ostringstream os;
-    save_v2(t, os);
-    v2 = os.str();
-    kind = ArtifactKind::TraceV2;
-  } else if (is_v1_trace(bytes)) {
-    std::istringstream is{std::string(bytes)};
-    const trace::Trace t = trace::load_binary(is);
     std::ostringstream os;
     save_v2(t, os);
     v2 = os.str();

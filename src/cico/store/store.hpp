@@ -10,9 +10,9 @@
 // Traces are chunked at their v2 boundaries (header / one object per
 // epoch-group chunk / trailer, see format.hpp), so two near-identical
 // runs -- the fleet's common case -- share every chunk that did not
-// change, and `cachier sync` (sync.hpp) moves only the delta.  v1 binary
-// and text traces are transcoded to v2 on put; the text format remains
-// the import/export codec, not a storage format.  Non-trace artifacts
+// change, and `cachier sync` (sync.hpp) moves only the delta.  Text
+// traces are transcoded to v2 on put; the text format remains the
+// import/export codec, not a storage format.  Non-trace artifacts
 // (reports, stdout payloads) are stored as fixed-size blob chunks.
 //
 // All writes are write-tmp-then-rename, so a crash never leaves a half
@@ -103,7 +103,7 @@ class ObjectStore {
 
   // --- artifact tier -------------------------------------------------------
   /// Chunks `bytes`, stores the missing chunks, writes the manifest.
-  /// Traces (text, v1 binary, or v2) are normalized to v2 first; the
+  /// Traces (text or v2) are normalized to v2 first; the
   /// manifest for an existing name is replaced.
   PutStats put(const std::string& name, std::string_view bytes);
   /// Reassembles an artifact byte-for-byte (every chunk re-verified).

@@ -1,7 +1,6 @@
 #include "cico/trace/trace.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <tuple>
 #include <limits>
 #include <numeric>
@@ -12,7 +11,6 @@
 #include <stdexcept>
 
 #include "cico/common/parse_num.hpp"
-#include "cico/common/varint.hpp"
 
 namespace cico::trace {
 
@@ -280,134 +278,6 @@ Trace load_text(std::istream& is) {
     } else {
       fail_line(lineno, "unknown record tag '" + tag + "'");
     }
-  }
-  t.validate_labels();
-  return t;
-}
-
-namespace {
-
-constexpr char kBinMagic[8] = {'c', 'i', 'c', 'o', 't', 'r', 'c', '1'};
-
-/// Unsigned LEB128 via the shared canonical codec (common/varint.hpp):
-/// short for the small epoch/node/pc values that dominate a trace, at
-/// most 10 bytes for a full 64-bit address.  The reader rejects
-/// non-minimal encodings and overflow bits, so a binary trace is a
-/// bijective function of its records -- the invariant the
-/// content-addressed store's chunk hashes rely on.
-void put_varint(std::ostream& os, std::uint64_t v) {
-  common::put_varint(os, v);
-}
-
-std::uint64_t get_varint(std::istream& is) {
-  return common::get_varint(is, "trace");
-}
-
-/// Range-checked narrowing: a varint that does not fit the destination
-/// field is malformed input, reported exactly like the text loader's
-/// parse_num path -- never silently truncated by a static_cast.
-template <typename T>
-T narrow(std::uint64_t v, const char* what) {
-  return common::narrow_varint<T>(v, "trace", what);
-}
-
-void put_string(std::ostream& os, const std::string& s) {
-  put_varint(os, s.size());
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-std::string get_string(std::istream& is) {
-  const auto n = get_varint(is);
-  if (n > (1u << 20)) throw std::runtime_error("trace: oversized string");
-  std::string s(n, '\0');
-  is.read(s.data(), static_cast<std::streamsize>(n));
-  if (!is) throw std::runtime_error("trace: truncated binary input");
-  return s;
-}
-
-}  // namespace
-
-void save_binary(const Trace& t, std::ostream& os) {
-  os.write(kBinMagic, sizeof(kBinMagic));
-  put_varint(os, t.labels.size());
-  for (const auto& r : t.labels) {
-    put_string(os, r.label);
-    put_varint(os, r.base);
-    put_varint(os, r.bytes);
-    put_varint(os, r.regular ? 1 : 0);
-  }
-  put_varint(os, t.misses.size());
-  for (const auto& m : t.misses) {
-    put_varint(os, m.epoch);
-    put_varint(os, m.node);
-    put_varint(os, static_cast<std::uint64_t>(m.kind));
-    put_varint(os, m.addr);
-    put_varint(os, m.size);
-    put_varint(os, m.pc);
-  }
-  put_varint(os, t.barriers.size());
-  for (const auto& b : t.barriers) {
-    put_varint(os, b.epoch);
-    put_varint(os, b.node);
-    put_varint(os, b.barrier_pc);
-    put_varint(os, b.vt);
-  }
-}
-
-Trace load_binary(std::istream& is) {
-  char magic[8] = {};
-  is.read(magic, sizeof(magic));
-  if (!is || std::memcmp(magic, kBinMagic, sizeof(magic)) != 0) {
-    throw std::runtime_error("trace: bad binary header");
-  }
-  Trace t;
-  const auto nlabels = get_varint(is);
-  if (nlabels > (1u << 20)) throw std::runtime_error("trace: label count");
-  t.labels.reserve(nlabels);
-  for (std::uint64_t i = 0; i < nlabels; ++i) {
-    RegionLabel r;
-    r.label = get_string(is);
-    r.base = get_varint(is);
-    r.bytes = get_varint(is);
-    const auto reg = get_varint(is);
-    if (reg > 1) {
-      throw std::runtime_error("trace: regular flag must be 0 or 1");
-    }
-    r.regular = reg != 0;
-    t.labels.push_back(std::move(r));
-  }
-  const auto nmisses = get_varint(is);
-  if (nmisses > (1ull << 32)) throw std::runtime_error("trace: miss count");
-  t.misses.reserve(nmisses);
-  for (std::uint64_t i = 0; i < nmisses; ++i) {
-    MissRecord m;
-    m.epoch = narrow<EpochId>(get_varint(is), "epoch");
-    m.node = narrow<NodeId>(get_varint(is), "node");
-    const auto kind = get_varint(is);
-    if (kind > static_cast<std::uint64_t>(MissKind::WriteFault)) {
-      throw std::runtime_error("trace: bad miss kind");
-    }
-    m.kind = static_cast<MissKind>(kind);
-    m.addr = get_varint(is);
-    m.size = narrow<std::uint32_t>(get_varint(is), "size");
-    m.pc = narrow<PcId>(get_varint(is), "pc");
-    t.misses.push_back(m);
-  }
-  const auto nbars = get_varint(is);
-  if (nbars > (1ull << 32)) throw std::runtime_error("trace: barrier count");
-  t.barriers.reserve(nbars);
-  for (std::uint64_t i = 0; i < nbars; ++i) {
-    BarrierRecord b;
-    b.epoch = narrow<EpochId>(get_varint(is), "epoch");
-    b.node = narrow<NodeId>(get_varint(is), "node");
-    b.barrier_pc = narrow<PcId>(get_varint(is), "barrier pc");
-    b.vt = get_varint(is);
-    t.barriers.push_back(b);
-  }
-  // load_text rejects trailing junk; the binary loader used to stop at
-  // the barrier section and silently ignore whatever followed.
-  if (is.peek() != std::char_traits<char>::eof()) {
-    throw std::runtime_error("trace: trailing junk after barrier section");
   }
   t.validate_labels();
   return t;

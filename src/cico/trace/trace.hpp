@@ -140,11 +140,4 @@ class TraceWriter {
 void save_text(const Trace& t, std::ostream& os);
 [[nodiscard]] Trace load_text(std::istream& is);
 
-/// Binary serialization (LEB128 varint fields): substantially smaller and
-/// faster to parse than the text form for the multi-hundred-thousand
-/// record traces the larger apps produce.  Both loaders validate their
-/// headers and throw std::runtime_error on malformed input.
-void save_binary(const Trace& t, std::ostream& os);
-[[nodiscard]] Trace load_binary(std::istream& is);
-
 }  // namespace cico::trace

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "cico/daemon/client.hpp"
 #include "cico/daemon/protocol.hpp"
@@ -157,6 +158,64 @@ TEST(Server, FreshThenCachedAreByteIdentical) {
     const Server::Counters c = f.server->counters();
     return c.cache_hits == 1 && c.completed == 2;
   }));
+}
+
+TEST(Server, ConcurrentColdThenWarmJobsAreCachedAndByteIdentical) {
+  // Four clients fan N distinct jobs out cold (every source differs, so
+  // every key differs), then resubmit the same N: each warm result must
+  // come from the cache, byte-identical to its cold result, and no job
+  // may fail or be cancelled.
+  constexpr std::size_t kJobs = 12, kClients = 4;
+  ServerFixture f("coldwarm", /*workers=*/4, /*queue=*/64);
+  const auto request = [](std::size_t idx) {
+    JobRequest req;
+    req.command = "run";
+    req.name = "job_" + std::to_string(idx) + ".mp";
+    req.source = "const N = 64;\n"
+                 "shared real A[N];\n"
+                 "parallel\n"
+                 "  for r = 1 to " + std::to_string(8 + idx % 16) + " do\n"
+                 "    A[pid] = A[pid] + " + std::to_string(idx + 1) + ";\n"
+                 "    barrier;\n"
+                 "  od\n"
+                 "end\n";
+    req.cfg.nodes = 4;
+    return req;
+  };
+  std::vector<JobResult> cold(kJobs), warm(kJobs);
+  const auto phase = [&](std::vector<JobResult>& out) {
+    std::vector<std::thread> clients;
+    for (std::size_t c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        ClientOptions copt = f.client();
+        copt.max_attempts = 20;
+        for (std::size_t i = c; i < kJobs; i += kClients) {
+          out[i] = submit_job(copt, request(i));
+        }
+      });
+    }
+    for (auto& t : clients) t.join();
+  };
+  phase(cold);
+  phase(warm);
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    SCOPED_TRACE("job " + std::to_string(i));
+    EXPECT_EQ(cold[i].exit, 0) << cold[i].error;
+    EXPECT_FALSE(cold[i].cached);
+    EXPECT_TRUE(warm[i].cached);
+    EXPECT_EQ(warm[i].exit, cold[i].exit);
+    EXPECT_EQ(warm[i].out, cold[i].out);
+    EXPECT_EQ(warm[i].diags, cold[i].diags);
+    EXPECT_EQ(warm[i].key, cold[i].key);
+    for (std::size_t j = 0; j < i; ++j) EXPECT_NE(cold[j].key, cold[i].key);
+  }
+  EXPECT_TRUE(eventually([&] {
+    return f.server->counters().completed == 2 * kJobs;
+  }));
+  const Server::Counters c = f.server->counters();
+  EXPECT_EQ(c.cache_hits, kJobs);
+  EXPECT_EQ(c.failed, 0u);
+  EXPECT_EQ(c.cancelled, 0u);
 }
 
 TEST(Server, DistinctConfigsDoNotShareCacheEntries) {

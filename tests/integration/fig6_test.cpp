@@ -1,5 +1,5 @@
-// Paper gate for EXPERIMENTS.md E1 (Fig. 6): the five benchmarks run
-// through the same factories and harness config as bench_fig6, on 32
+// Paper gate for EXPERIMENTS.md E1 (Fig. 6): the five benchmarks at their
+// scaled-down default sizes (paper sizes in the factory comments), on 32
 // simulated Dir1SW nodes.  Simulated cycles are deterministic, so every
 // app x variant normalized time is pinned exactly (to the three decimals
 // EXPERIMENTS.md records), and the section 6 shape claims are asserted on
@@ -8,17 +8,67 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.hpp"
+#include "apps/barnes.hpp"
+#include "apps/matmul.hpp"
+#include "apps/mp3d.hpp"
+#include "apps/ocean.hpp"
+#include "apps/runner.hpp"
+#include "apps/tomcatv.hpp"
 
 namespace {
 
 using namespace cico;
 using namespace cico::apps;
+
+AppFactory matmul_factory() {
+  MatMulConfig c;  // paper: 256x256
+  c.n = 96;        // a multiple of the 8x4 processor grid
+  return [c](std::uint64_t s) { return std::make_unique<MatMul>(c, s); };
+}
+
+AppFactory ocean_factory() {
+  OceanConfig c;  // paper: 98x98
+  c.n = 98;
+  c.iters = 6;
+  return [c](std::uint64_t s) { return std::make_unique<Ocean>(c, s); };
+}
+
+AppFactory tomcatv_factory() {
+  TomcatvConfig c;  // paper: 1024x1024, 10 iters
+  c.rows = 256;
+  c.cols = 128;
+  c.iters = 4;
+  return [c](std::uint64_t s) { return std::make_unique<Tomcatv>(c, s); };
+}
+
+AppFactory mp3d_factory() {
+  Mp3dConfig c;  // paper: 50,000 molecules, 10 steps
+  c.molecules = 4096;
+  c.steps = 6;
+  return [c](std::uint64_t s) { return std::make_unique<Mp3d>(c, s); };
+}
+
+AppFactory barnes_factory() {
+  BarnesConfig c;  // paper: 1024 bodies
+  c.bodies = 1024;
+  c.steps = 2;
+  return [c](std::uint64_t s) { return std::make_unique<Barnes>(c, s); };
+}
+
+/// Section 6 machine: 32 nodes, 256 KB 4-way 32 B caches; the trace and
+/// the measured runs use different inputs, as the paper did.
+HarnessConfig fig6_config() {
+  HarnessConfig hc;
+  hc.sim.nodes = 32;
+  hc.trace_seed = 1;
+  hc.measure_seed = 2;
+  return hc;
+}
 
 struct Pinned {
   const char* app;
@@ -28,19 +78,19 @@ struct Pinned {
 };
 
 const Pinned kTable[] = {
-    {"matmul", bench::matmul_factory,
+    {"matmul", matmul_factory,
      {{"none", "1.000"}, {"hand", "0.958"}, {"hand+pf", "0.931"},
       {"cachier", "0.951"}, {"cachier+pf", "0.869"}}},
-    {"barnes", bench::barnes_factory,
+    {"barnes", barnes_factory,
      {{"none", "1.000"}, {"hand", "0.855"}, {"cachier", "0.846"},
       {"cachier+pf", "0.846"}}},
-    {"tomcatv", bench::tomcatv_factory,
+    {"tomcatv", tomcatv_factory,
      {{"none", "1.000"}, {"hand", "0.990"}, {"cachier", "0.964"},
       {"cachier+pf", "0.944"}}},
-    {"ocean", bench::ocean_factory,
+    {"ocean", ocean_factory,
      {{"none", "1.000"}, {"hand", "0.912"}, {"cachier", "0.748"},
       {"cachier+pf", "0.624"}}},
-    {"mp3d", bench::mp3d_factory,
+    {"mp3d", mp3d_factory,
      {{"none", "1.000"}, {"hand", "1.075"}, {"cachier", "0.364"},
       {"cachier+pf", "0.367"}}},
 };
@@ -50,7 +100,6 @@ const Pinned kTable[] = {
 class Fig6 : public ::testing::TestWithParam<Pinned> {};
 
 TEST_P(Fig6, PinnedTimesAndSection6Shape) {
-  ::unsetenv("CICO_BENCH_SCALE");  // the pins hold for the default sizes
   const Pinned& p = GetParam();
   const std::string app = p.app;
   std::vector<Variant> vs{Variant::None, Variant::Hand, Variant::Cachier,
@@ -58,7 +107,7 @@ TEST_P(Fig6, PinnedTimesAndSection6Shape) {
   if (p.norm.contains("hand+pf")) {
     vs.insert(vs.begin() + 2, Variant::HandPf);
   }
-  Harness h(p.factory(), bench::fig6_config());
+  Harness h(p.factory(), fig6_config());
   const std::vector<RunResult> rs = h.run_variants(vs);
   ASSERT_EQ(rs.size(), p.norm.size());
   std::map<std::string, double> norm;

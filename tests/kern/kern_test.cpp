@@ -66,9 +66,10 @@ TEST(Kernels, AllLevelsMatchScalarOnRandomArrays) {
     ScopedLevel scope(l);
     const Ops& o = ops();
     ASSERT_EQ(o.level, l);
-    // Sizes straddle the AVX2 (4-word) and NEON (2-word) strides.
+    // Sizes straddle the AVX2 (4-word) and NEON (2-word) strides; 4096
+    // words (32 KB) is a full L1-resident bitmap.
     for (std::size_t n : {0U, 1U, 2U, 3U, 4U, 5U, 7U, 8U, 9U, 15U, 16U, 17U,
-                          31U, 64U, 100U}) {
+                          31U, 64U, 100U, 4096U}) {
       for (int trial = 0; trial < 8; ++trial) {
         const auto a = random_words(rng, n, trial % 2 == 0);
         const auto b = random_words(rng, n, trial % 2 == 1);

@@ -22,6 +22,8 @@
 #include <thread>
 #include <vector>
 
+#include "cico/common/hash.hpp"
+#include "cico/common/varint.hpp"
 #include "cico/store/format.hpp"
 #include "cico/store/sync.hpp"
 #include "cico/trace/trace.hpp"
@@ -94,11 +96,14 @@ struct TempDir {
 
 TEST(FormatV2Test, RoundTripsCanonicalTrace) {
   const trace::Trace t = sample_trace();
-  for (EpochId k : {1u, 2u, 4u, 100u}) {
-    const trace::Trace back = load_v2_bytes(v2_bytes(t, k));
+  for (EpochId k : {1u, 2u, 4u, 16u, 100u}) {
+    const std::string bytes = v2_bytes(t, k);
+    const trace::Trace back = load_v2_bytes(bytes);
     EXPECT_EQ(back.misses, t.misses) << "k=" << k;
     EXPECT_EQ(back.barriers, t.barriers) << "k=" << k;
     EXPECT_EQ(back.labels, t.labels) << "k=" << k;
+    // Bijectivity: re-serializing the decoded trace reproduces the bytes.
+    EXPECT_EQ(v2_bytes(back, k), bytes) << "k=" << k;
   }
 }
 
@@ -119,23 +124,16 @@ TEST(FormatV2Test, BytesAreRecordOrderIndependent) {
   EXPECT_EQ(v2_bytes(t), a);
 }
 
-TEST(FormatV2Test, AgreesWithTextAndBinaryCodecs) {
+TEST(FormatV2Test, AgreesWithTextCodec) {
   const trace::Trace t = sample_trace();
   std::stringstream txt;
   trace::save_text(t, txt);
   trace::Trace via_text = trace::load_text(txt);
-  std::stringstream bin(std::ios::in | std::ios::out | std::ios::binary);
-  trace::save_binary(t, bin);
-  trace::Trace via_bin = trace::load_binary(bin);
   trace::canonicalize(via_text);
-  trace::canonicalize(via_bin);
   const trace::Trace via_v2 = load_v2_bytes(v2_bytes(t));
   EXPECT_EQ(via_text.misses, via_v2.misses);
-  EXPECT_EQ(via_bin.misses, via_v2.misses);
   EXPECT_EQ(via_text.barriers, via_v2.barriers);
-  EXPECT_EQ(via_bin.barriers, via_v2.barriers);
   EXPECT_EQ(via_text.labels, via_v2.labels);
-  EXPECT_EQ(via_bin.labels, via_v2.labels);
 }
 
 TEST(FormatV2Test, StreamingReaderSkipsEmptyEpochGroups) {
@@ -222,10 +220,115 @@ TEST(FormatV2Test, RejectsTamperedTrailerCounts) {
 }
 
 TEST(FormatV2Test, RejectsBadMagicAndVersion) {
-  expect_trace_error("cicotrc1whatever", "bad v2 header");
+  expect_trace_error("cicotrc9whatever", "bad v2 header");
   std::string bytes = v2_bytes(sample_trace());
   bytes[8] = 3;  // version varint follows the 8-byte magic
   expect_trace_error(bytes, "unsupported v2 version");
+}
+
+// --- hostile v2 input ------------------------------------------------------
+//
+// Hand-built streams: a header, at most one epoch-0 chunk framed with the
+// payload's real hash, and a trailer whose counts agree, so the only
+// defect is the one each test plants.
+
+/// Minimal-length LEB128 of v, as raw bytes.
+std::string enc(std::uint64_t v) {
+  std::ostringstream ss;
+  common::put_varint(ss, v);
+  return ss.str();
+}
+
+/// The v2 magic followed by `rest` (version, K, labels, ...).
+std::string v2_header(const std::string& rest) {
+  return std::string(kV2Magic, sizeof(kV2Magic)) + rest;
+}
+
+/// A complete stream holding one chunk with `payload` verbatim.
+std::string v2_one_chunk(const std::string& payload, std::uint64_t misses,
+                         std::uint64_t barriers) {
+  common::ContentHasher h;
+  h << payload;
+  const auto digest = h.digest();
+  return v2_header(enc(2) + enc(1) + enc(0)) + '\x01' + enc(0) + enc(1) +
+         enc(payload.size()) +
+         std::string(reinterpret_cast<const char*>(digest.data()),
+                     digest.size()) +
+         payload + '\x00' + enc(1) + enc(misses) + enc(barriers);
+}
+
+TEST(FormatV2HostileTest, HandBuiltStreamDecodes) {
+  // The builder itself is sound: a well-formed miss and barrier load.
+  const std::string miss = enc(0) + enc(1) + enc(0) + enc(0x2000) + enc(8) +
+                           enc(3);
+  const std::string bar = enc(0) + enc(1) + enc(7) + enc(555 << 1);
+  const trace::Trace t = load_v2_bytes(
+      v2_one_chunk(enc(1) + miss + enc(1) + bar, 1, 1));
+  ASSERT_EQ(t.misses.size(), 1u);
+  EXPECT_EQ(t.misses[0].addr, 0x1000u);  // zigzag of +0x1000
+  ASSERT_EQ(t.barriers.size(), 1u);
+  EXPECT_EQ(t.barriers[0].vt, 555u);
+}
+
+TEST(FormatV2HostileTest, RejectsNonCanonicalVarint) {
+  // 0x80 0x00 decodes to 0 but is two bytes: a second spelling of the
+  // same value, which the canonical codec must reject.
+  expect_trace_error(v2_header(std::string("\x80\x00", 2)),
+                     "non-canonical varint");
+}
+
+TEST(FormatV2HostileTest, RejectsVarintOverflowBitsAtShift63) {
+  // Ten bytes with a tenth group above 1 carry bits past bit 63.
+  expect_trace_error(v2_header(std::string(9, '\xff') + '\x7f'),
+                     "overflows 64 bits");
+}
+
+TEST(FormatV2HostileTest, RejectsElevenByteVarint) {
+  expect_trace_error(v2_header(std::string(10, '\x80') + '\x01'),
+                     "overflows 64 bits");
+}
+
+TEST(FormatV2HostileTest, RejectsTruncatedVarint) {
+  // A continuation bit that promises a byte the stream does not have.
+  expect_trace_error(v2_header(enc(2) + '\x80'), "truncated varint");
+}
+
+TEST(FormatV2HostileTest, RejectsOutOfRangeFields) {
+  const std::uint64_t too_big = 0x1'0000'0000ULL;  // > uint32 max
+  expect_trace_error(v2_header(enc(2) + enc(too_big)),
+                     "epochs per chunk out of range");
+  const auto miss_with = [&](int field) {
+    const std::uint64_t fields[] = {0, 1, 0, 0x2000, 8, 3};
+    std::string p = enc(1);
+    for (int i = 0; i < 6; ++i) p += enc(i == field ? too_big : fields[i]);
+    return v2_one_chunk(p + enc(0), 1, 0);
+  };
+  // Epochs are deltas inside a chunk, so a too-large one leaves it.
+  expect_trace_error(miss_with(0), "record epoch outside chunk");
+  expect_trace_error(miss_with(1), "node out of range");
+  expect_trace_error(miss_with(4), "size out of range");
+  expect_trace_error(miss_with(5), "pc out of range");
+  const auto barrier_with = [&](int field) {
+    const std::uint64_t fields[] = {0, 1, 7, 555 << 1};
+    std::string p = enc(0) + enc(1);
+    for (int i = 0; i < 4; ++i) p += enc(i == field ? too_big : fields[i]);
+    return v2_one_chunk(p, 0, 1);
+  };
+  expect_trace_error(barrier_with(0), "record epoch outside chunk");
+  expect_trace_error(barrier_with(1), "node out of range");
+  expect_trace_error(barrier_with(2), "barrier pc out of range");
+}
+
+TEST(FormatV2HostileTest, RejectsBadMissKind) {
+  const std::string p = enc(1) + enc(0) + enc(0) + enc(3) + enc(0x2000) +
+                        enc(8) + enc(1) + enc(0);
+  expect_trace_error(v2_one_chunk(p, 1, 0), "bad miss kind");
+}
+
+TEST(FormatV2HostileTest, RejectsRegularFlagAboveOne) {
+  const std::string label = enc(1) + "A" + enc(0x1000) + enc(64) + enc(2);
+  expect_trace_error(v2_header(enc(2) + enc(1) + enc(1) + label),
+                     "regular flag");
 }
 
 // --- object store -----------------------------------------------------------
@@ -316,13 +419,22 @@ TEST(ObjectStoreTest, NormalizesTracesToV2AndGetReproduces) {
   EXPECT_EQ(back.barriers, t.barriers);
   EXPECT_EQ(back.labels, t.labels);
 
-  // The v1 binary spelling of the same trace stores identical objects.
-  std::stringstream bin(std::ios::in | std::ios::out | std::ios::binary);
-  trace::save_binary(t, bin);
-  const PutStats st2 = s.put("run1-bin", bin.str());
+  // The v2 spelling of the same trace stores identical objects.
+  const PutStats st2 = s.put("run1-v2", stored);
   EXPECT_EQ(st2.kind, ArtifactKind::TraceV2);
   EXPECT_EQ(st2.objects_new, 0u);
-  EXPECT_EQ(s.get("run1-bin"), stored);
+  EXPECT_EQ(s.get("run1-v2"), stored);
+}
+
+TEST(ObjectStoreTest, V1BinaryTraceIsAnOpaqueBlob) {
+  // Only text and v2 are trace formats; `cicotrc1` bytes are stored and
+  // returned verbatim like any other non-trace artifact.
+  TempDir tmp;
+  ObjectStore s(tmp.sub("st"));
+  const std::string v1 = std::string("cicotrc1") + enc(0) + enc(0) + enc(0);
+  const PutStats st = s.put("old", v1);
+  EXPECT_EQ(st.kind, ArtifactKind::Blob);
+  EXPECT_EQ(s.get("old"), v1);
 }
 
 TEST(ObjectStoreTest, OneEpochChangeCreatesOneNewObject) {
@@ -343,6 +455,19 @@ TEST(ObjectStoreTest, OneEpochChangeCreatesOneNewObject) {
   const PutStats sb = s.put("run-b", v2_bytes(b));
   EXPECT_EQ(sb.objects_total, sa.objects_total);
   EXPECT_EQ(sb.objects_new, 1u);  // only epoch 3's chunk
+
+  // The same delta seen by the section splitter: header and trailer are
+  // unchanged and exactly one chunk differs.
+  const V2Sections xa = split_v2(v2_bytes(a));
+  const V2Sections xb = split_v2(v2_bytes(b));
+  EXPECT_EQ(xa.header, xb.header);
+  EXPECT_EQ(xa.trailer, xb.trailer);
+  ASSERT_EQ(xa.chunks.size(), xb.chunks.size());
+  std::size_t dirty = 0;
+  for (std::size_t i = 0; i < xa.chunks.size(); ++i) {
+    dirty += xa.chunks[i] != xb.chunks[i] ? 1 : 0;
+  }
+  EXPECT_EQ(dirty, 1u);
 }
 
 TEST(ObjectStoreTest, LsListsManifestsSorted) {

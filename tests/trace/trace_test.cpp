@@ -5,8 +5,6 @@
 #include <limits>
 #include <sstream>
 
-#include "cico/common/varint.hpp"
-
 namespace cico::trace {
 namespace {
 
@@ -122,54 +120,6 @@ TEST(TraceIoTest, TextRoundTrip) {
   EXPECT_EQ(back.labels, t.labels);
 }
 
-TEST(TraceIoTest, BinaryRoundTrip) {
-  TraceWriter w;
-  w.set_labels({RegionLabel{"A", 0x1000, 256, true},
-                RegionLabel{"tree", 0x2000, 512, false}});
-  for (int i = 0; i < 100; ++i) {
-    w.record_miss(i % 8, static_cast<MissKind>(i % 3),
-                  0x1000 + static_cast<Addr>(i) * 8, 8, 11 + i % 5, i / 25);
-    if (i % 25 == 24) {
-      w.record_barrier(0, 2, 100 * i, i / 25);
-      w.end_epoch();
-    }
-  }
-  Trace t = w.take();
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  save_binary(t, ss);
-  Trace back = load_binary(ss);
-  EXPECT_EQ(back.misses, t.misses);
-  EXPECT_EQ(back.barriers, t.barriers);
-  EXPECT_EQ(back.labels, t.labels);
-}
-
-TEST(TraceIoTest, BinaryIsSmallerThanText) {
-  TraceWriter w;
-  for (int i = 0; i < 1000; ++i) {
-    w.record_miss(i % 32, MissKind::ReadMiss, 0x100000 + static_cast<Addr>(i) * 8, 8,
-                  1000 + i, 0);
-  }
-  Trace t = w.take();
-  std::stringstream txt, bin(std::ios::in | std::ios::out | std::ios::binary);
-  save_text(t, txt);
-  save_binary(t, bin);
-  EXPECT_LT(bin.str().size(), txt.str().size());
-}
-
-TEST(TraceIoTest, BinaryRejectsCorruption) {
-  std::stringstream bad1("not binary at all");
-  EXPECT_THROW(load_binary(bad1), std::runtime_error);
-  // Truncated stream after a valid header.
-  Trace t;
-  t.misses.push_back(MissRecord{0, 0, MissKind::ReadMiss, 0x10, 8, 1});
-  std::stringstream full(std::ios::in | std::ios::out | std::ios::binary);
-  save_binary(t, full);
-  const std::string bytes = full.str();
-  std::stringstream cut(bytes.substr(0, bytes.size() - 4),
-                        std::ios::in | std::ios::binary);
-  EXPECT_THROW(load_binary(cut), std::runtime_error);
-}
-
 TEST(TraceIoTest, LabelsWithSpacesRoundTrip) {
   // `ls >> r.label` used to truncate "my array" at the space and shift
   // every numeric field by one token.
@@ -247,144 +197,6 @@ TEST(TraceIoTest, RejectsOverlappingLabelsOnLoad) {
 TEST(TraceIoTest, RejectsBadLabelEscape) {
   std::stringstream ss("cico-trace v1\nL bad\\q 4096 64 1\n");
   EXPECT_THROW(load_text(ss), std::runtime_error);
-}
-
-TEST(TraceIoTest, RejectsTruncatedVarint) {
-  // A varint whose continuation bit promises more bytes than the stream
-  // has must be reported as truncation, not silently zero-extended.
-  Trace t;
-  for (int i = 0; i < 4; ++i) {
-    t.misses.push_back(
-        MissRecord{0, 0, MissKind::ReadMiss, 0xfedcba9876543210ULL, 8, 1});
-  }
-  std::stringstream full(std::ios::in | std::ios::out | std::ios::binary);
-  save_binary(t, full);
-  const std::string bytes = full.str();
-  // Cut inside the final record's varint fields.
-  std::stringstream cut(bytes.substr(0, bytes.size() - 3),
-                        std::ios::in | std::ios::binary);
-  EXPECT_THROW(load_binary(cut), std::runtime_error);
-}
-
-// --- hostile binary inputs (mirrors the hostile text suite above) ----------
-//
-// The binary loader used to static_cast 64-bit varints into 32-bit fields
-// and accept non-minimal LEB128, so two different byte streams could decode
-// to the same trace -- fatal for content addressing.  Every malformed
-// stream must fail with a `trace:`-prefixed error.
-
-/// Minimal-length LEB128 of v, as raw bytes.
-std::string enc(std::uint64_t v) {
-  std::ostringstream ss;
-  common::put_varint(ss, v);
-  return ss.str();
-}
-
-std::string bin_magic() { return "cicotrc1"; }
-
-/// Asserts that load_binary rejects `bytes` with a `trace:`-prefixed
-/// message containing `needle`.
-void expect_binary_error(const std::string& bytes, const std::string& needle) {
-  std::stringstream ss(bytes, std::ios::in | std::ios::binary);
-  try {
-    (void)load_binary(ss);
-    FAIL() << "expected rejection (" << needle << ")";
-  } catch (const std::runtime_error& e) {
-    const std::string msg = e.what();
-    EXPECT_EQ(msg.rfind("trace:", 0), 0u) << msg;
-    EXPECT_NE(msg.find(needle), std::string::npos) << msg;
-  }
-}
-
-TEST(TraceBinaryHostileTest, RejectsNonCanonicalVarint) {
-  // 0x80 0x00 decodes to 0 but is two bytes: a second spelling of the
-  // same value, which the canonical codec must reject.
-  const std::string bytes =
-      bin_magic() + std::string("\x80\x00", 2);  // nlabels = non-canonical 0
-  expect_binary_error(bytes, "non-canonical varint");
-}
-
-TEST(TraceBinaryHostileTest, RejectsVarintOverflowBitsAtShift63) {
-  // Ten bytes with a tenth group above 1 carry bits past bit 63.
-  const std::string bytes =
-      bin_magic() + std::string(9, '\xff') + std::string(1, '\x7f');
-  expect_binary_error(bytes, "overflows 64 bits");
-}
-
-TEST(TraceBinaryHostileTest, RejectsElevenByteVarint) {
-  const std::string bytes =
-      bin_magic() + std::string(10, '\x80') + std::string(1, '\x01');
-  expect_binary_error(bytes, "overflows 64 bits");
-}
-
-TEST(TraceBinaryHostileTest, RejectsOutOfRangeMissFields) {
-  const std::uint64_t too_big = 0x1'0000'0000ULL;  // > uint32 max
-  const auto miss_with = [&](int field) {
-    std::string b = bin_magic() + enc(0) + enc(1);  // no labels, one miss
-    const std::uint64_t fields[] = {0, 0, 0, 0x1000, 8, 1};
-    for (int i = 0; i < 6; ++i) b += enc(i == field ? too_big : fields[i]);
-    b += enc(0);  // no barriers
-    return b;
-  };
-  expect_binary_error(miss_with(0), "epoch out of range");
-  expect_binary_error(miss_with(1), "node out of range");
-  expect_binary_error(miss_with(4), "size out of range");
-  expect_binary_error(miss_with(5), "pc out of range");
-}
-
-TEST(TraceBinaryHostileTest, RejectsOutOfRangeBarrierFields) {
-  const std::uint64_t too_big = 0x1'0000'0000ULL;
-  const auto barrier_with = [&](int field) {
-    std::string b = bin_magic() + enc(0) + enc(0) + enc(1);
-    const std::uint64_t fields[] = {0, 0, 7, 555};
-    for (int i = 0; i < 4; ++i) b += enc(i == field ? too_big : fields[i]);
-    return b;
-  };
-  expect_binary_error(barrier_with(0), "epoch out of range");
-  expect_binary_error(barrier_with(1), "node out of range");
-  expect_binary_error(barrier_with(2), "barrier pc out of range");
-}
-
-TEST(TraceBinaryHostileTest, RejectsBadMissKind) {
-  std::string b = bin_magic() + enc(0) + enc(1);
-  b += enc(0) + enc(0) + enc(3) + enc(0x1000) + enc(8) + enc(1);
-  b += enc(0);
-  expect_binary_error(b, "bad miss kind");
-}
-
-TEST(TraceBinaryHostileTest, RejectsRegularFlagAboveOne) {
-  std::string b = bin_magic() + enc(1);
-  b += enc(1) + "A" + enc(0x1000) + enc(64) + enc(2);  // regular = 2
-  expect_binary_error(b, "regular flag");
-}
-
-TEST(TraceBinaryHostileTest, RejectsTrailingJunk) {
-  Trace t;
-  t.misses.push_back(MissRecord{0, 0, MissKind::ReadMiss, 0x10, 8, 1});
-  std::stringstream full(std::ios::in | std::ios::out | std::ios::binary);
-  save_binary(t, full);
-  expect_binary_error(full.str() + "x", "trailing junk");
-}
-
-TEST(TraceBinaryHostileTest, EveryStrictPrefixIsRejected) {
-  // Counts precede their records, so truncation at ANY byte offset is
-  // detectable -- no prefix may quietly decode to a shorter trace.
-  TraceWriter w;
-  w.set_labels({RegionLabel{"A", 0x1000, 256, true}});
-  w.record_miss(0, MissKind::ReadMiss, 0x1008, 8, 11, 0);
-  w.record_barrier(0, 2, 555, 0);
-  w.end_epoch();
-  w.record_miss(1, MissKind::WriteMiss, 0x1010, 4, 12, 1);
-  Trace t = w.take();
-  std::stringstream full(std::ios::in | std::ios::out | std::ios::binary);
-  save_binary(t, full);
-  const std::string bytes = full.str();
-  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    std::stringstream ss(bytes.substr(0, cut),
-                         std::ios::in | std::ios::binary);
-    EXPECT_THROW((void)load_binary(ss), std::runtime_error)
-        << "prefix of " << cut << " bytes decoded";
-  }
 }
 
 TEST(TraceTest, NumEpochsOverflowAtEpochIdMax) {
