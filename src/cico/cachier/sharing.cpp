@@ -1,8 +1,9 @@
 #include "cico/cachier/sharing.hpp"
 
 #include <algorithm>
-#include <map>
+#include <span>
 #include <sstream>
+#include <utility>
 
 #include "cico/kern/nodemask.hpp"
 
@@ -10,99 +11,120 @@ namespace cico::cachier {
 
 namespace {
 
-struct WordInfo {
-  // Dynamic-width masks: nodes >= 64 used to alias onto bit n % 64, which
-  // could both invent and hide races/false sharing on wide machines.
-  kern::NodeMask reader_mask;
-  kern::NodeMask writer_mask;
-  std::vector<NodeId> nodes;  // unique accessors, in first-seen order
-  std::vector<PcId> pcs;      // unique pcs
-
-  void add(NodeId n, bool write, PcId pc) {
-    if (write) writer_mask.set(n);
-    else reader_mask.set(n);
-    if (std::find(nodes.begin(), nodes.end(), n) == nodes.end()) nodes.push_back(n);
-    if (std::find(pcs.begin(), pcs.end(), pc) == pcs.end()) pcs.push_back(pc);
-  }
-
-  [[nodiscard]] int popcount_accessors() const {
-    return kern::NodeMask::count_union(reader_mask, writer_mask);
-  }
+// One distinct address of the block being swept.  The mask is
+// dynamic-width so node ids >= 64 never alias onto bit n % 64.
+struct WordSlot {
+  Addr addr = 0;
+  kern::NodeMask accessors;
+  bool written = false;
 };
+
+using Keyed = std::pair<Block, std::size_t>;  // (block, record index)
+
+// Unique nodes and pcs of the records in `group` that `keep` accepts, in
+// first-seen (trace) order.
+template <class Keep>
+void collect_sites(const std::vector<trace::MissRecord>& recs,
+                   std::span<const Keyed> group, Keep keep,
+                   std::vector<NodeId>& nodes, std::vector<PcId>& pcs) {
+  for (const auto& [blk, i] : group) {
+    const trace::MissRecord& m = recs[i];
+    if (!keep(m)) continue;
+    if (std::find(nodes.begin(), nodes.end(), m.node) == nodes.end()) {
+      nodes.push_back(m.node);
+    }
+    if (std::find(pcs.begin(), pcs.end(), m.pc) == pcs.end()) {
+      pcs.push_back(m.pc);
+    }
+  }
+}
 
 }  // namespace
 
+// One sort-and-sweep, O(R log R) over R records: counting-sort the records
+// by epoch, sort each epoch's (block, record index) pairs -- the index
+// tiebreak keeps trace order inside a block -- and decide races and false
+// sharing block by block from a small per-address table.
 SharingAnalyzer::SharingAnalyzer(const trace::Trace& t,
                                  const mem::CacheGeometry& g,
                                  SharingOptions opt)
     : geo_(g) {
+  const std::vector<trace::MissRecord>& recs = t.misses;
   const EpochId epochs = t.num_epochs();
   per_epoch_.resize(epochs);
 
-  // Bucket trace records by epoch.
-  std::vector<std::vector<const trace::MissRecord*>> by_epoch(epochs);
-  for (const auto& m : t.misses) by_epoch[m.epoch].push_back(&m);
-
-  for (EpochId e = 0; e < epochs; ++e) {
-    // word -> accessors, block -> accessors
-    std::map<Addr, WordInfo> words;
-    std::map<Block, WordInfo> blocks;
-    std::map<Block, std::uint64_t> block_word_count;  // distinct words per block
-
-    for (const trace::MissRecord* m : by_epoch[e]) {
-      const bool write = m->kind != trace::MissKind::ReadMiss;
-      auto [it, fresh] = words.try_emplace(m->addr);
-      if (fresh) ++block_word_count[geo_.block_of(m->addr)];
-      it->second.add(m->node, write, m->pc);
-      blocks[geo_.block_of(m->addr)].add(m->node, write, m->pc);
+  std::vector<std::size_t> first(std::size_t{epochs} + 1, 0);
+  for (const trace::MissRecord& m : recs) ++first[std::size_t{m.epoch} + 1];
+  for (std::size_t e = 0; e < epochs; ++e) first[e + 1] += first[e];
+  std::vector<Keyed> keyed(recs.size());
+  {
+    std::vector<std::size_t> next(first.begin(), first.end() - 1);
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+      keyed[next[recs[i].epoch]++] = {geo_.block_of(recs[i].addr), i};
     }
+  }
+
+  std::vector<WordSlot> words;  // scratch, reused across blocks
+  for (EpochId e = 0; e < epochs; ++e) {
+    const std::span<Keyed> slice(keyed.data() + first[e],
+                                 first[e + 1] - first[e]);
+    std::sort(slice.begin(), slice.end());
 
     EpochSharing& es = per_epoch_[e];
+    for (std::size_t lo = 0, hi = 0; lo < slice.size(); lo = hi) {
+      const Block blk = slice[lo].first;
+      while (hi < slice.size() && slice[hi].first == blk) ++hi;
+      const std::span<const Keyed> group = slice.subspan(lo, hi - lo);
 
-    // Data races: same word, >=2 nodes, >=1 write.
-    for (const auto& [addr, wi] : words) {
-      if (wi.popcount_accessors() < 2 || !wi.writer_mask.any()) continue;
-      es.race_blocks.insert(geo_.block_of(addr));
-      RaceSite rs;
-      rs.epoch = e;
-      rs.addr = addr;
-      rs.nodes = wi.nodes;
-      rs.pcs = wi.pcs;
-      races_.push_back(std::move(rs));
-    }
-
-    // False sharing: >=2 nodes touch the block via different words.  We
-    // detect it as: the block has >=2 accessors AND more than one distinct
-    // word was touched AND at least one accessing node touched a word no
-    // other node touched... The simple sufficient test used here: the
-    // block has >=2 accessor nodes and is NOT explained purely by races /
-    // full-word sharing -- i.e. some pair of nodes accessed different
-    // words.  Since per-word accessor sets are known, a block is falsely
-    // shared iff the union of accessors over its words is larger than the
-    // accessor set of every single word.
-    for (const auto& [blk, bi] : blocks) {
-      if (bi.popcount_accessors() < 2) continue;
-      if (block_word_count[blk] < 2) continue;
-      if (opt.fs_requires_write && !bi.writer_mask.any()) continue;
-      // Does some pair of nodes access different words of this block?
-      // Equivalent: there exists a word whose accessor set != block's.
-      bool different_words = false;
-      for (const auto& [addr, wi] : words) {
-        if (geo_.block_of(addr) != blk) continue;
-        if (!kern::NodeMask::union_equals(wi.reader_mask, wi.writer_mask,
-                                          bi.reader_mask, bi.writer_mask)) {
-          different_words = true;
-          break;
-        }
+      words.clear();
+      kern::NodeMask block_accessors;
+      bool block_written = false;
+      for (const auto& [b, i] : group) {
+        const trace::MissRecord& m = recs[i];
+        const bool write = m.kind != trace::MissKind::ReadMiss;
+        const auto same = [&](const WordSlot& s) { return s.addr == m.addr; };
+        auto w = std::find_if(words.begin(), words.end(), same);
+        if (w == words.end()) w = words.insert(w, WordSlot{m.addr, {}, false});
+        w->accessors.set(m.node);
+        w->written |= write;
+        block_accessors.set(m.node);
+        block_written |= write;
       }
-      if (!different_words) continue;
+      std::sort(words.begin(), words.end(),
+                [](const WordSlot& a, const WordSlot& b) {
+                  return a.addr < b.addr;
+                });
+
+      // Data races: same address, >=2 nodes, >=1 write.
+      for (const WordSlot& w : words) {
+        if (!w.written || w.accessors.count() < 2) continue;
+        es.race_blocks.insert(blk);
+        RaceSite& rs = races_.emplace_back();
+        rs.epoch = e;
+        rs.addr = w.addr;
+        collect_sites(
+            recs, group,
+            [&](const trace::MissRecord& m) { return m.addr == w.addr; },
+            rs.nodes, rs.pcs);
+      }
+
+      // False sharing: >=2 nodes touch the block through different
+      // addresses, i.e. some address's accessor set is smaller than the
+      // block's.
+      if (words.size() < 2 || block_accessors.count() < 2) continue;
+      if (opt.fs_requires_write && !block_written) continue;
+      if (std::all_of(words.begin(), words.end(), [&](const WordSlot& w) {
+            return w.accessors == block_accessors;
+          })) {
+        continue;
+      }
       es.fs_blocks.insert(blk);
-      FalseShareSite fs;
+      FalseShareSite& fs = false_shares_.emplace_back();
       fs.epoch = e;
       fs.block = blk;
-      fs.nodes = bi.nodes;
-      fs.pcs = bi.pcs;
-      false_shares_.push_back(std::move(fs));
+      collect_sites(
+          recs, group, [](const trace::MissRecord&) { return true; }, fs.nodes,
+          fs.pcs);
     }
 
     es.drfs_blocks = es.race_blocks;

@@ -60,17 +60,6 @@ const Ops* resolve_startup() {
   return table_for(best_level());
 }
 
-// Resolved once; set_level() may repoint it from single-threaded test code.
-const Ops* active_table() {
-  static const Ops* chosen = resolve_startup();
-  return chosen;
-}
-
-const Ops** active_slot() {
-  static const Ops* slot = active_table();
-  return &slot;
-}
-
 }  // namespace
 
 bool level_available(Level l) { return table_for(l) != nullptr; }
@@ -87,7 +76,19 @@ const char* level_name(Level l) {
   return "?";
 }
 
-const Ops& ops() { return **active_slot(); }
+namespace detail {
+
+std::atomic<const Ops*> active_ops{nullptr};
+
+const Ops& resolve_ops() {
+  // The probe (and its stderr note) runs once; set_level() may repoint
+  // active_ops afterwards from single-threaded test code.
+  static const Ops* const chosen = resolve_startup();
+  active_ops.store(chosen);
+  return *chosen;
+}
+
+}  // namespace detail
 
 Level active_level() { return ops().level; }
 
@@ -97,9 +98,8 @@ Level set_level(Level l) {
     throw std::invalid_argument(std::string("kern level unavailable: ") +
                                 level_name(l));
   }
-  const Ops** slot = active_slot();
-  const Level prev = (*slot)->level;
-  *slot = t;
+  const Level prev = ops().level;
+  detail::active_ops.store(t);
   return prev;
 }
 

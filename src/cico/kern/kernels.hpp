@@ -22,6 +22,7 @@
 // enforce that.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -58,9 +59,19 @@ struct Ops {
 
 [[nodiscard]] const char* level_name(Level l);
 
+namespace detail {
+/// The active table; null until the first ops() call resolves it.
+extern std::atomic<const Ops*> active_ops;
+/// One-time dispatch resolution behind a null active_ops.
+[[nodiscard]] const Ops& resolve_ops();
+}  // namespace detail
+
 /// The active kernel table.  First call resolves the dispatch (CICO_SIMD
-/// override, else feature probe); later calls are a single load.
-[[nodiscard]] const Ops& ops();
+/// override, else feature probe); later calls are a single inline load.
+[[nodiscard]] inline const Ops& ops() {
+  const Ops* t = detail::active_ops.load();
+  return t != nullptr ? *t : detail::resolve_ops();
+}
 
 [[nodiscard]] Level active_level();
 

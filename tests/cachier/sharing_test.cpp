@@ -166,5 +166,59 @@ TEST(SharingTest, FalseSharingBetweenNode1AndNode65Detected) {
   EXPECT_TRUE(sa.epoch(0).fs_blocks.contains(0x1000 / 32));
 }
 
+// ---- Ordering contract ---------------------------------------------------
+
+TEST(SharingTest, RaceNodesAndPcsFollowFirstSeenTraceOrder) {
+  // Records of epoch 1 sit between the epoch-0 records; the race's lists
+  // keep the epoch-0 first-seen order, not node or pc order.
+  trace::Trace t;
+  t.misses = {
+      rec(0, 5, trace::MissKind::ReadMiss, 0x1000, 9),
+      rec(1, 2, trace::MissKind::WriteMiss, 0x1000, 4),
+      rec(0, 3, trace::MissKind::WriteMiss, 0x1000, 7),
+      rec(1, 1, trace::MissKind::WriteMiss, 0x1000, 3),
+      rec(0, 5, trace::MissKind::WriteMiss, 0x1000, 2),
+      rec(0, 1, trace::MissKind::ReadMiss, 0x1000, 7),
+  };
+  SharingAnalyzer sa(t, geo());
+  ASSERT_EQ(sa.races().size(), 2u);
+  EXPECT_EQ(sa.races()[0].epoch, 0u);
+  EXPECT_EQ(sa.races()[0].nodes, (std::vector<NodeId>{5, 3, 1}));
+  EXPECT_EQ(sa.races()[0].pcs, (std::vector<PcId>{9, 7, 2}));
+  EXPECT_EQ(sa.races()[1].epoch, 1u);
+  EXPECT_EQ(sa.races()[1].nodes, (std::vector<NodeId>{2, 1}));
+  EXPECT_EQ(sa.races()[1].pcs, (std::vector<PcId>{4, 3}));
+}
+
+TEST(SharingTest, TwoAddressesInOneWordAreTwoWordsForFalseSharing) {
+  // 0x1000 and 0x1004 share an 8-byte word but are different addresses:
+  // two nodes on them falsely share the block and do not race.
+  trace::Trace t;
+  t.misses = {
+      rec(0, 0, trace::MissKind::WriteMiss, 0x1000),
+      rec(0, 1, trace::MissKind::WriteMiss, 0x1004),
+  };
+  SharingAnalyzer sa(t, geo());
+  EXPECT_TRUE(sa.races().empty());
+  ASSERT_EQ(sa.false_shares().size(), 1u);
+  EXPECT_EQ(sa.false_shares()[0].block, 0x1000u / 32);
+  EXPECT_EQ(sa.false_shares()[0].nodes, (std::vector<NodeId>{0, 1}));
+}
+
+TEST(SharingTest, RacesComeOutInAscendingAddressOrderWithinAnEpoch) {
+  trace::Trace t;
+  for (const Addr a : {0x3008, 0x1010, 0x2000, 0x1008, 0x3000}) {
+    t.misses.push_back(rec(0, 0, trace::MissKind::WriteMiss, a));
+  }
+  for (const Addr a : {0x1008, 0x3000, 0x2000, 0x3008, 0x1010}) {
+    t.misses.push_back(rec(0, 1, trace::MissKind::WriteMiss, a));
+  }
+  SharingAnalyzer sa(t, geo());
+  std::vector<Addr> addrs;
+  for (const RaceSite& r : sa.races()) addrs.push_back(r.addr);
+  EXPECT_EQ(addrs,
+            (std::vector<Addr>{0x1008, 0x1010, 0x2000, 0x3000, 0x3008}));
+}
+
 }  // namespace
 }  // namespace cico::cachier
