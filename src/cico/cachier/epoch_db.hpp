@@ -26,9 +26,9 @@
 
 namespace cico::cachier {
 
-// Dense SIMD bitsets (cico::kern): same membership API as the historical
+// Dense bitsets (cico::kern): same membership API as the historical
 // unordered_set aliases, but iteration is ascending and set algebra
-// (|=, &=, -=) runs on the dispatched word kernels.
+// (|=, &=, -=) works a 64-bit word at a time.
 using BlockSet = kern::BlockSet;
 using WordSet = kern::BlockSet;
 

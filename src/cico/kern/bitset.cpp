@@ -34,15 +34,17 @@ BlockSet& BlockSet::operator|=(const BlockSet& o) {
   if (o.count_ == 0) return *this;
   // Cover o's occupied word range (trim leading/trailing zero words so a
   // sparse source does not balloon this set's range).
-  const std::size_t first = ops().find_nonzero(o.words_.data(),
-                                               o.words_.size());
+  std::size_t first = 0;
+  while (o.words_[first] == 0) ++first;  // o.count_ > 0: some word is set
   std::size_t last = o.words_.size();
   while (last > first && o.words_[last - 1] == 0) --last;
   const std::uint64_t key0 = o.base_ + (static_cast<std::uint64_t>(first) << 6);
   ensure_covers(key0);
   ensure_covers(o.base_ + (static_cast<std::uint64_t>(last) << 6) - 1);
-  std::uint64_t* dst = words_.data() + ((key0 - base_) >> 6);
-  ops().bor(dst, o.words_.data() + first, last - first);
+  const std::size_t dst = static_cast<std::size_t>((key0 - base_) >> 6);
+  for (std::size_t i = first; i < last; ++i) {
+    words_[dst + i - first] |= o.words_[i];
+  }
   recount();
   return *this;
 }
@@ -65,8 +67,10 @@ BlockSet& BlockSet::operator&=(const BlockSet& o) {
             0);
   std::fill(words_.begin() + static_cast<std::ptrdiff_t>(hi_wi), words_.end(),
             0);
-  ops().band(words_.data() + lo_wi, o.words_.data() + ((lo - o.base_) >> 6),
-             hi_wi - lo_wi);
+  const std::size_t o_wi = static_cast<std::size_t>((lo - o.base_) >> 6);
+  for (std::size_t i = lo_wi; i < hi_wi; ++i) {
+    words_[i] &= o.words_[o_wi + i - lo_wi];
+  }
   recount();
   return *this;
 }
@@ -78,8 +82,10 @@ BlockSet& BlockSet::operator-=(const BlockSet& o) {
   if (hi <= lo) return *this;
   const std::size_t lo_wi = static_cast<std::size_t>((lo - base_) >> 6);
   const std::size_t hi_wi = static_cast<std::size_t>((hi - base_) >> 6);
-  ops().bandnot(words_.data() + lo_wi,
-                o.words_.data() + ((lo - o.base_) >> 6), hi_wi - lo_wi);
+  const std::size_t o_wi = static_cast<std::size_t>((lo - o.base_) >> 6);
+  for (std::size_t i = lo_wi; i < hi_wi; ++i) {
+    words_[i] &= ~o.words_[o_wi + i - lo_wi];
+  }
   recount();
   return *this;
 }
@@ -88,7 +94,7 @@ bool operator==(const BlockSet& a, const BlockSet& b) {
   if (a.count_ != b.count_) return false;
   if (a.count_ == 0) return true;
   if (a.base_ == b.base_ && a.words_.size() == b.words_.size()) {
-    return ops().equal(a.words_.data(), b.words_.data(), a.words_.size());
+    return a.words_ == b.words_;
   }
   // Ranges differ: compare word-by-word over the union of the two ranges,
   // treating words outside either range as zero.

@@ -1,7 +1,5 @@
 #include "cico/mem/cache.hpp"
 
-#include "cico/kern/kernels.hpp"
-
 namespace cico::mem {
 
 Cache::Cache(CacheGeometry g)
@@ -12,7 +10,10 @@ Cache::Cache(CacheGeometry g)
       fill_(g.num_sets(), 0) {}
 
 std::size_t Cache::way_of(Block b, std::size_t fill) const {
-  return kern::ops().find_u64(tags_.data() + row(b), fill, b);
+  const Block* tags = tags_.data() + row(b);
+  std::size_t i = 0;
+  while (i < fill && tags[i] != b) ++i;
+  return i;
 }
 
 void Cache::to_mru(std::size_t base, std::size_t i) {

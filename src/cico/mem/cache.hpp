@@ -64,9 +64,10 @@ class Cache {
  private:
   // Structure-of-arrays layout: the tags of set s occupy
   // tags_[s*assoc .. s*assoc + fill_[s]) with index 0 = MRU and
-  // fill_[s]-1 = LRU, states_ in parallel.  A lookup is one SIMD compare
-  // over the set's tag row (kern::find_u64) instead of a pointer-chasing
-  // scan of per-set vectors; LRU maintenance is a short memmove rotation.
+  // fill_[s]-1 = LRU, states_ in parallel.  A lookup is a linear scan of
+  // the set's contiguous tag row (at most assoc tags) instead of a
+  // pointer-chasing walk of per-set vectors; LRU maintenance is a short
+  // rotation.
   [[nodiscard]] std::size_t row(Block b) const {
     return static_cast<std::size_t>(geo_.set_of(b)) * geo_.assoc;
   }

@@ -51,7 +51,7 @@ struct PlannedDirective {
 };
 
 /// Everything the runtime must do for one (node, epoch).  The block sets
-/// are dense SIMD bitsets (cico::kern): the simulator probes them on every
+/// are dense bitsets (cico::kern): the simulator probes them on every
 /// shared access, and plan application iterates them in ascending block
 /// order.
 struct NodeEpochDirectives {

@@ -3,6 +3,12 @@
 // and the documented hand-annotation behaviours.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "apps/barnes.hpp"
 #include "apps/jacobi.hpp"
 #include "apps/matmul.hpp"
@@ -10,6 +16,7 @@
 #include "apps/ocean.hpp"
 #include "apps/runner.hpp"
 #include "apps/tomcatv.hpp"
+#include "cico/trace/trace.hpp"
 
 namespace cico::apps {
 namespace {
@@ -107,6 +114,86 @@ TEST(AppVerifyTest, RestructuredMatmulMatchesHostProduct) {
   const RunResult r = h.measure(Variant::None);
   EXPECT_TRUE(r.verified);
   EXPECT_GT(r.stat(Stat::LockAcquires), 0u);  // the section 5 merge locks
+}
+
+// Every simulator mode that exercises the block-set and cache-tag scans:
+// the app must verify, the directory must pass its invariant audit, and
+// two runs must agree on time, epochs, every per-node counter, network
+// totals and the trace text.
+enum class SimMode { Plain, Paranoid, Trace };
+
+struct ModeRun {
+  bool verified = false;
+  std::string invariants;
+  Cycle time = 0;
+  EpochId epochs = 0;
+  std::vector<std::array<std::uint64_t, kStatCount>> stats;
+  std::uint64_t msgs = 0;
+  std::string trace_text;
+
+  bool operator==(const ModeRun& o) const = default;
+};
+
+ModeRun run_in_mode(bool matmul, SimMode mode) {
+  sim::SimConfig cfg = nodes(matmul ? 8 : 16);
+  cfg.cache.size_bytes = 4096;
+  cfg.cache.assoc = 4;
+  cfg.cache.block_bytes = 32;
+  cfg.audit_invariants = mode == SimMode::Paranoid;
+  cfg.trace_mode = mode == SimMode::Trace;
+  sim::Machine m(cfg);
+  trace::TraceWriter w;
+  if (cfg.trace_mode) m.set_trace_writer(&w);
+  std::unique_ptr<App> a;
+  if (matmul) {
+    MatMulConfig c;
+    c.n = 24;
+    c.prow = 4;
+    c.pcol = 2;
+    a = std::make_unique<MatMul>(c, /*seed=*/2);
+  } else {
+    JacobiConfig c;
+    c.n = 16;
+    c.steps = 2;
+    c.p = 4;
+    a = std::make_unique<Jacobi>(c, /*seed=*/2);
+  }
+  a->setup(m, Variant::None);
+  m.run([&](sim::Proc& p) { a->body(p); });
+
+  ModeRun r;
+  r.verified = a->verify();
+  r.invariants = m.directory().check_invariants();
+  r.time = m.exec_time();
+  r.epochs = m.epochs_completed();
+  r.stats.resize(cfg.nodes);
+  for (NodeId n = 0; n < cfg.nodes; ++n) {
+    for (std::size_t i = 0; i < kStatCount; ++i) {
+      r.stats[n][i] = m.stats().node(n, static_cast<Stat>(i));
+    }
+  }
+  r.msgs = m.network().total_sent();
+  if (cfg.trace_mode) {
+    std::ostringstream os;
+    trace::save_text(w.take(), os);
+    r.trace_text = os.str();
+  }
+  return r;
+}
+
+TEST(AppModeTest, MatmulAndJacobiVerifyAndRepeatInEveryMode) {
+  for (const bool matmul : {true, false}) {
+    for (const SimMode mode :
+         {SimMode::Plain, SimMode::Paranoid, SimMode::Trace}) {
+      SCOPED_TRACE(std::string(matmul ? "matmul" : "jacobi") + " mode " +
+                   std::to_string(static_cast<int>(mode)));
+      const ModeRun first = run_in_mode(matmul, mode);
+      EXPECT_TRUE(first.verified);
+      EXPECT_EQ(first.invariants, "");
+      EXPECT_EQ(first.trace_text.empty(), mode != SimMode::Trace);
+      EXPECT_EQ(run_in_mode(matmul, mode), first);
+    }
+  }
 }
 
 TEST(AppHandTest, MatmulHandHasRedundantCheckouts) {

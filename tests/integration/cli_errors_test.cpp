@@ -6,15 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
 #include <sys/wait.h>
+#include <vector>
 
 namespace {
 
-std::string g_cachier;  // set in main() from argv[1]
+std::string g_cachier;   // set in main() from argv[1]
+std::string g_examples;  // examples/minipar, from argv[2]
 
 struct CmdResult {
   int exit_code = -1;
@@ -456,6 +460,99 @@ TEST_F(CliLintTest, FixRepairsFindingsAndIsIdempotent) {
   EXPECT_NE(again.output.find("0 fixes"), std::string::npos) << again.output;
 }
 
+/// Runs `annotate <args>` and checks every self-lint position against the
+/// emitted program: `<annotated>:L:C` must name a line of stdout, and that
+/// line must mention the quoted array.  Returns the number of positions
+/// checked.
+int check_self_lint_positions(const std::string& args) {
+  const int status = std::system(("'" + g_cachier + "' annotate " + args +
+                                   " > cli_selflint.out 2> cli_selflint.err")
+                                      .c_str());
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) <= 2) << status;
+  std::vector<std::string> out_lines;
+  std::istringstream out(slurp_file("cli_selflint.out"));
+  for (std::string line; std::getline(out, line);) out_lines.push_back(line);
+  std::istringstream err(slurp_file("cli_selflint.err"));
+  int checked = 0;
+  for (std::string line; std::getline(err, line);) {
+    std::size_t ln = 0;
+    std::size_t col = 0;
+    if (std::sscanf(line.c_str(), "<annotated>:%zu:%zu:", &ln, &col) != 2) {
+      continue;
+    }
+    ++checked;
+    const std::size_t q = line.find('\'');
+    const std::size_t q_end = line.find('\'', q + 1);
+    if (q_end == std::string::npos || ln < 1 || ln > out_lines.size()) {
+      ADD_FAILURE() << "position outside stdout (" << out_lines.size()
+                    << " lines) or no quoted array: " << line;
+      continue;
+    }
+    const std::string name = line.substr(q + 1, q_end - q - 1);
+    EXPECT_NE(out_lines[ln - 1].find(name), std::string::npos)
+        << line << "\n  stdout line " << ln << ": " << out_lines[ln - 1];
+  }
+  return checked;
+}
+
+TEST_F(CliLintTest, SelfLintPositionsPointIntoTheAnnotatedOutput) {
+  // Trace mode on barnes: CICO002 warnings on POS reads.
+  EXPECT_GT(check_self_lint_positions(g_examples + "/barnes.mp -n 4"), 0)
+      << slurp_file("cli_selflint.err");
+  // --static on a stencil time loop followed by a band reduction: CICO005
+  // errors on generated check_ins (an emitter defect; once it is fixed
+  // this input has no diagnostics left to check).
+  write_file("cli_selflint_sb.mp",
+             "const R0 = 8;\n"
+             "const M0 = 8;\n"
+             "shared real A0[R0, M0];\n"
+             "shared real B0[R0, M0];\n"
+             "const N1 = 16;\n"
+             "shared real X1[N1];\n"
+             "shared real S1[4];\n"
+             "parallel\n"
+             "  private rs0 = R0 / nprocs;\n"
+             "  private lo0 = max(pid * rs0, 1);\n"
+             "  private hi0 = min(pid * rs0 + rs0 - 1, R0 - 2);\n"
+             "  if pid == 0 then\n"
+             "    for i = 0 to R0 - 1 do\n"
+             "      for j = 0 to M0 - 1 do\n"
+             "        A0[i, j] = (i * 7 + j * 5) % 11;\n"
+             "      od\n"
+             "    od\n"
+             "  fi\n"
+             "  barrier;\n"
+             "  for t = 1 to 2 do\n"
+             "    for i = lo0 to hi0 do\n"
+             "      for j = 1 to M0 - 2 do\n"
+             "        B0[i, j] = 0.25 * (A0[i - 1, j] + A0[i + 1, j] +\n"
+             "                           A0[i, j - 1] + A0[i, j + 1]);\n"
+             "      od\n"
+             "    od\n"
+             "    barrier;\n"
+             "    for i = lo0 to hi0 do\n"
+             "      for j = 1 to M0 - 2 do\n"
+             "        A0[i, j] = B0[i, j];\n"
+             "      od\n"
+             "    od\n"
+             "    barrier;\n"
+             "  od\n"
+             "  private pb1 = N1 / nprocs;\n"
+             "  for i = pid * pb1 to pid * pb1 + pb1 - 1 do\n"
+             "    X1[i] = i * 3 + pid;\n"
+             "  od\n"
+             "  barrier;\n"
+             "  private s1 = 0;\n"
+             "  for i = 0 to N1 - 1 do\n"
+             "    s1 = s1 + X1[i];\n"
+             "  od\n"
+             "  S1[pid] = s1;\n"
+             "  barrier;\n"
+             "end\n");
+  ASSERT_EQ(run_cli("lint cli_selflint_sb.mp").exit_code, 0);
+  check_self_lint_positions("--static cli_selflint_sb.mp -n 4");
+}
+
 TEST_F(CliErrorsTest, StaticAnnotateOutputLintsCleanExit0) {
   ASSERT_EQ(run_cli("annotate --static " + prog_ +
                     " -n 4 2>/dev/null | cat > cli_static_ann.mp")
@@ -592,9 +689,14 @@ TEST_F(CliStoreTest, PutGetSyncRoundTrip) {
 
 int main(int argc, char** argv) {
   ::testing::InitGoogleTest(&argc, argv);
-  if (argc > 1) g_cachier = argv[1];
+  if (argc > 2) {
+    g_cachier = argv[1];
+    g_examples = argv[2];
+  }
   if (g_cachier.empty()) {
-    std::fprintf(stderr, "usage: cli_errors_test <path-to-cachier>\n");
+    std::fprintf(stderr,
+                 "usage: cli_errors_test <path-to-cachier> "
+                 "<examples/minipar dir>\n");
     return 1;
   }
   return RUN_ALL_TESTS();

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <list>
+#include <optional>
+#include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace cico::mem {
@@ -165,6 +172,151 @@ TEST(CacheTest, LruOrderProperty) {
   auto v2 = c.insert(12, LineState::Shared);
   ASSERT_TRUE(v2.has_value());
   EXPECT_EQ(v2->block, 0u);
+}
+
+/// The line holding block b in one set of the reference model.
+template <class Set>
+auto find(Set& set, Block b) {
+  return std::find_if(set.begin(), set.end(),
+                      [b](const auto& l) { return l.first == b; });
+}
+
+/// Reference LRU cache: one std::list per set, MRU at the front.
+class ListLru {
+ public:
+  using Line = std::pair<Block, LineState>;
+
+  explicit ListLru(const CacheGeometry& g) : g_(g), sets_(g.num_sets()) {}
+
+  LineState state_of(Block b) const {
+    const auto& set = sets_[g_.set_of(b)];
+    const auto it = find(set, b);
+    return it == set.end() ? LineState::Invalid : it->second;
+  }
+
+  LineState access(Block b, bool write) {
+    auto& set = sets_[g_.set_of(b)];
+    const auto it = find(set, b);
+    if (it == set.end()) return LineState::Invalid;
+    const LineState s = it->second;
+    if (s == LineState::Exclusive || !write) set.splice(set.begin(), set, it);
+    return s;
+  }
+
+  std::optional<Line> insert(Block b, LineState s) {
+    auto& set = sets_[g_.set_of(b)];
+    const auto it = find(set, b);
+    if (it != set.end()) {
+      it->second = s;
+      set.splice(set.begin(), set, it);
+      return std::nullopt;
+    }
+    std::optional<Line> victim;
+    if (set.size() == g_.assoc) {
+      victim = set.back();
+      set.pop_back();
+    }
+    set.emplace_front(b, s);
+    return victim;
+  }
+
+  bool set_state(Block b, LineState s) {
+    auto& set = sets_[g_.set_of(b)];
+    const auto it = find(set, b);
+    if (it == set.end()) return false;
+    it->second = s;
+    return true;
+  }
+
+  LineState erase(Block b) {
+    auto& set = sets_[g_.set_of(b)];
+    const auto it = find(set, b);
+    if (it == set.end()) return LineState::Invalid;
+    const LineState s = it->second;
+    set.erase(it);
+    return s;
+  }
+
+  /// Every resident line, set by set, MRU to LRU.
+  std::vector<Line> lines() const {
+    std::vector<Line> out;
+    for (const auto& set : sets_) out.insert(out.end(), set.begin(), set.end());
+    return out;
+  }
+
+  std::size_t occupancy() const { return lines().size(); }
+
+  void clear() {
+    for (auto& set : sets_) set.clear();
+  }
+
+ private:
+  CacheGeometry g_;
+  std::vector<std::list<Line>> sets_;
+};
+
+std::vector<ListLru::Line> resident(const Cache& c) {
+  std::vector<ListLru::Line> out;
+  c.for_each([&](Block b, LineState s) { out.emplace_back(b, s); });
+  return out;
+}
+
+/// Differential: seeded random operation sequences against the list model
+/// at several associativities, including ones that leave sets partly
+/// filled and rows that are not a multiple of four ways.
+TEST(CacheTest, MatchesListLruModel) {
+  for (const std::uint32_t assoc : {1U, 2U, 3U, 4U, 8U}) {
+    for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+      SCOPED_TRACE("assoc " + std::to_string(assoc) + " seed " +
+                   std::to_string(seed));
+      CacheGeometry g;
+      g.block_bytes = 32;
+      g.assoc = assoc;
+      g.size_bytes = 4 * assoc * g.block_bytes;  // 4 sets
+      Cache c(g);
+      ListLru ref(g);
+      std::mt19937_64 rng(seed * 1000 + assoc);
+      // Each set sees assoc + 3 distinct blocks, block 0 included (tag 0
+      // is also the value of unfilled ways).
+      const std::uint64_t span = 4ULL * (assoc + 3);
+      const auto state = [&] {
+        return rng() % 2 == 0 ? LineState::Shared : LineState::Exclusive;
+      };
+      for (int step = 0; step < 4000; ++step) {
+        const Block b = rng() % span;
+        const std::uint64_t op = rng() % 100;
+        if (op < 35) {
+          const LineState s = state();
+          const auto got = c.insert(b, s);
+          const auto want = ref.insert(b, s);
+          ASSERT_EQ(got.has_value(), want.has_value()) << "insert " << b;
+          if (got) {
+            EXPECT_EQ(got->block, want->first) << "victim of " << b;
+            EXPECT_EQ(got->state, want->second) << "victim of " << b;
+          }
+        } else if (op < 75) {
+          const bool write = op >= 55;
+          ASSERT_EQ(c.access(b, write), ref.access(b, write))
+              << "access " << b;
+        } else if (op < 87) {
+          ASSERT_EQ(c.erase(b), ref.erase(b)) << "erase " << b;
+        } else if (op < 97) {
+          const LineState s = state();
+          ASSERT_EQ(c.set_state(b, s), ref.set_state(b, s))
+              << "set_state " << b;
+        } else {
+          std::vector<ListLru::Line> flushed;
+          c.flush([&](Block fb, LineState fs) { flushed.emplace_back(fb, fs); });
+          ASSERT_EQ(flushed, ref.lines()) << "flush";
+          ref.clear();
+        }
+        const Block probe = rng() % span;
+        ASSERT_EQ(c.state_of(probe), ref.state_of(probe)) << "probe " << probe;
+        ASSERT_EQ(c.occupancy(), ref.occupancy()) << "step " << step;
+        ASSERT_EQ(resident(c), ref.lines()) << "step " << step;
+      }
+    }
+  }
 }
 
 }  // namespace
