@@ -202,11 +202,10 @@ void do_annotate(const Ctx& c, JobResult& r) {
   r.diags.emplace_back(line);
   // Self-lint oracle: Cachier's own output must satisfy the CICO rules.
   // A diagnostic here is an annotator bug, so errors fail the command.
-  // res.lint positions are the input program's (generated directives
-  // have none), so the report lints the emitted text again: every
-  // position then points into stdout.
-  if (!res.lint.diagnostics.empty()) {
-    const analysis::LintResult lint = analysis::lint(lang::parse(r.out));
+  // The lint reads the emitted text, so it sees exactly what a user's
+  // `cachier lint` would and every position points into stdout.
+  const analysis::LintResult lint = analysis::lint(lang::parse(r.out));
+  if (!lint.diagnostics.empty()) {
     std::ostringstream ss;
     analysis::print_text(ss, "<annotated>", lint);
     r.diags.push_back("# cachier: self-lint:\n" + ss.str());

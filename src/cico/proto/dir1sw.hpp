@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <sstream>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -38,7 +39,6 @@
 #include "cico/common/types.hpp"
 #include "cico/mem/cache.hpp"
 #include "cico/net/network.hpp"
-#include "cico/proto/protocol.hpp"
 
 namespace cico::proto {
 
@@ -86,32 +86,32 @@ struct ServiceResult {
   std::uint32_t invalidations = 0;  ///< invalidation messages sent
 };
 
-class Dir1SW final : public Protocol {
+class Dir1SW {
  public:
   Dir1SW(std::uint32_t nodes, const CostModel& cost, net::Network& net,
          Stats& stats, CacheControl& caches);
 
   /// Home node of a block (directory slices are block-interleaved).
-  [[nodiscard]] NodeId home_of(Block b) const override {
+  [[nodiscard]] NodeId home_of(Block b) const {
     return static_cast<NodeId>(b % nodes_);
   }
 
   /// Read request (shared copy).  With prefetch=true the request is
   /// non-binding and is nacked instead of trapping.
   ServiceResult get_shared(NodeId req, Block b, Cycle now,
-                           bool prefetch = false) override;
+                           bool prefetch = false);
 
   /// Write request (exclusive copy).  Also the upgrade path: if the
   /// requester already holds a Shared copy this is a write fault.
   ServiceResult get_exclusive(NodeId req, Block b, Cycle now,
-                              bool prefetch = false) override;
+                              bool prefetch = false);
 
   /// Check-in or eviction notification.  `dirty` == requester held the
   /// block Exclusive (data travels home).  Check-ins are fire-and-forget:
   /// the requester is charged only issue occupancy; the directory update is
   /// serialized at `now`.
   ServiceResult put(NodeId req, Block b, bool dirty, Cycle now,
-                    bool explicit_ci) override;
+                    bool explicit_ci);
 
   /// EXTENSION -- the KSR-1 post-store the paper's introduction compares
   /// check-in against ("broadcasts read-only copies of a cache block to
@@ -119,7 +119,7 @@ class Dir1SW final : public Protocol {
   /// state"): the writer's exclusive copy is written back AND pushed as a
   /// Shared copy to every PAST sharer, so their next reads hit instead of
   /// missing.  The writer keeps a Shared copy.  Fire-and-forget like put.
-  ServiceResult post_store(NodeId req, Block b, Cycle now) override;
+  ServiceResult post_store(NodeId req, Block b, Cycle now);
 
   /// Directory entry for a block, or nullptr if the block has never been
   /// referenced (equivalent to Idle).
@@ -130,13 +130,11 @@ class Dir1SW final : public Protocol {
   /// Verifies directory/cache consistency (tests call this at rest points):
   /// sharer sets match cache states and counters match set sizes.
   /// Returns an empty string when consistent, else a diagnostic.
-  [[nodiscard]] std::string check_invariants() const override;
+  [[nodiscard]] std::string check_invariants() const;
 
   /// Memoized audit: rechecks only the blocks ent() marked dirty since the
   /// last clean incremental audit, then clears the memo.
-  [[nodiscard]] std::string check_invariants_incremental() override;
-
-  [[nodiscard]] const char* name() const override { return "dir1sw"; }
+  [[nodiscard]] std::string check_invariants_incremental();
 
  private:
   /// The single choke point through which every handler reaches an entry;

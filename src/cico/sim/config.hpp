@@ -9,14 +9,8 @@
 
 namespace cico::sim {
 
-enum class ProtocolKind : std::uint8_t {
-  Dir1SW,      ///< the paper's protocol: HW pointer+counter, software traps
-  DirNFullMap, ///< all-hardware full-map baseline (DASH/Alewife style)
-};
-
 struct SimConfig {
   std::uint32_t nodes = 32;
-  ProtocolKind protocol = ProtocolKind::Dir1SW;
   mem::CacheGeometry cache{};
   CostModel cost{};
 

@@ -46,14 +46,8 @@ Machine::Machine(SimConfig cfg)
       stats_(cfg.nodes),
       net_(cfg.cost, stats_),
       cachectl_(this),
+      dir_(cfg.nodes, cfg.cost, net_, stats_, cachectl_),
       heap_(cfg.heap_base, cfg.cache.block_bytes) {
-  if (cfg_.protocol == ProtocolKind::DirNFullMap) {
-    dir_ = std::make_unique<proto::DirNFullMap>(cfg.nodes, cfg.cost, net_,
-                                                stats_, cachectl_);
-  } else {
-    dir_ = std::make_unique<proto::Dir1SW>(cfg.nodes, cfg.cost, net_, stats_,
-                                           cachectl_);
-  }
   if (cfg_.nodes == 0) throw std::invalid_argument("Machine: nodes == 0");
   if (cfg_.faults.injects()) {
     injector_ = std::make_unique<fault::FaultInjector>(cfg_.faults);
@@ -568,7 +562,7 @@ void Machine::execute_item(const Item& it) {
 void Machine::record_obs_trap(NodeId n, Block b, Cycle t0, Cycle t1,
                               std::uint32_t invalidations, EpochId epoch) {
   if (obs_ == nullptr) return;
-  obs_->on_trap(n, dir_->home_of(b), b, t0, t1, invalidations, epoch);
+  obs_->on_trap(n, dir_.home_of(b), b, t0, t1, invalidations, epoch);
 }
 
 void Machine::insert_line(NodeCtx& c, NodeId n, Block b, LineState s, Cycle t) {
@@ -639,8 +633,8 @@ void Machine::service_mem(NodeCtx& c, NodeId n) {
       }
     }
   }
-  res = fetch_excl ? dir_->get_exclusive(n, b, t, false)
-                   : dir_->get_shared(n, b, t, false);
+  res = fetch_excl ? dir_.get_exclusive(n, b, t, false)
+                   : dir_.get_shared(n, b, t, false);
   if (res.dropped) {
     // The request (or its reply) was eaten by a fault.  The node stays
     // parked in Wait::Mem with its retransmit scheduled after the timeout
@@ -691,8 +685,8 @@ Cycle Machine::do_checkout(NodeCtx& c, NodeId n, DirectiveKind kind,
     Cycle req_t = t;
     for (;;) {
       req_t = t;
-      res = excl ? dir_->get_exclusive(n, b, t, false)
-                 : dir_->get_shared(n, b, t, false);
+      res = excl ? dir_.get_exclusive(n, b, t, false)
+                 : dir_.get_shared(n, b, t, false);
       if (!res.dropped) break;
       if (inline_retry_exhausted(attempt)) {
         std::ostringstream os;
@@ -747,8 +741,8 @@ void Machine::service_prefetch(NodeCtx& c, NodeId n, Block b, bool exclusive,
   }
   if (c.prefetch_ready.contains(b)) return;  // already in flight
   const proto::ServiceResult res = exclusive
-                                       ? dir_->get_exclusive(n, b, t, true)
-                                       : dir_->get_shared(n, b, t, true);
+                                       ? dir_.get_exclusive(n, b, t, true)
+                                       : dir_.get_shared(n, b, t, true);
   if (res.dropped) {
     // Prefetches are never retried: a lost one is a missed opportunity,
     // not an obligation.  It still counts against the throttle.
@@ -986,7 +980,7 @@ void Machine::reliable_put(NodeId n, Block b, bool dirty, Cycle t,
   // land eventually or the directory stays permanently ahead of the cache.
   std::uint32_t attempt = 0;
   for (;;) {
-    const proto::ServiceResult res = dir_->put(n, b, dirty, t, explicit_ci);
+    const proto::ServiceResult res = dir_.put(n, b, dirty, t, explicit_ci);
     if (!res.dropped) return;
     if (inline_retry_exhausted(attempt)) {
       std::ostringstream os;
@@ -1005,7 +999,7 @@ void Machine::reliable_put(NodeId n, Block b, bool dirty, Cycle t,
 void Machine::reliable_post_store(NodeId n, Block b, Cycle t) {
   std::uint32_t attempt = 0;
   for (;;) {
-    const proto::ServiceResult res = dir_->post_store(n, b, t);
+    const proto::ServiceResult res = dir_.post_store(n, b, t);
     if (!res.dropped) return;
     if (inline_retry_exhausted(attempt)) {
       std::ostringstream os;
@@ -1022,8 +1016,8 @@ void Machine::reliable_post_store(NodeId n, Block b, Cycle t) {
 }
 
 void Machine::audit_now(const std::string& when, bool full) {
-  const std::string diag = full ? dir_->check_invariants()
-                                : dir_->check_invariants_incremental();
+  const std::string diag = full ? dir_.check_invariants()
+                                : dir_.check_invariants_incremental();
   if (diag.empty()) return;
   std::ostringstream os;
   os << "invariant audit failed (" << when << "):\n" << diag;

@@ -38,7 +38,6 @@
 #include "cico/net/network.hpp"
 #include "cico/obs/collector.hpp"
 #include "cico/proto/dir1sw.hpp"
-#include "cico/proto/dirn.hpp"
 #include "cico/sim/config.hpp"
 #include "cico/sim/fiber.hpp"
 #include "cico/sim/plan.hpp"
@@ -135,7 +134,7 @@ class Machine {
   [[nodiscard]] Stats& stats() { return stats_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] net::Network& network() { return net_; }
-  [[nodiscard]] proto::Protocol& directory() { return *dir_; }
+  [[nodiscard]] proto::Dir1SW& directory() { return dir_; }
 
   /// Enable trace collection (implies barrier cache flushes when
   /// cfg.trace_mode is set; the writer outlives the run).
@@ -348,7 +347,7 @@ class Machine {
   Stats stats_;
   net::Network net_;
   CacheCtl cachectl_;
-  std::unique_ptr<proto::Protocol> dir_;
+  proto::Dir1SW dir_;
   std::unique_ptr<fault::FaultInjector> injector_;
   SharedHeap heap_;
   std::vector<std::unique_ptr<NodeCtx>> ctxs_;

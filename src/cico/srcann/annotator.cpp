@@ -717,7 +717,6 @@ AnnotateResult annotate_from_source(const Program& src, const PlanSource& plan,
   std::string notes;
   for (const std::string& n : plan.notes) notes += n + "\n";
   res.notes = notes + em.notes();
-  res.lint = analysis::lint(res.program);
   return res;
 }
 

@@ -590,25 +590,20 @@ TEST_P(SelfLintTest, GeneratedAnnotationsAreClean) {
   const srcann::AnnotateResult res =
       srcann::annotate(pl.prog, pl.trace, *pl.lp,
                        pl.machine->config().cache, {.mode = mode});
-  // Contract: Cachier's own output never contains a hard CICO violation.
-  // Programmer placement may deliberately drop a check_in when it judges
-  // termination will reclaim the region (matmul's B), which self-lint is
-  // allowed to surface as a warning; the default performance placement must
-  // be wholly diagnostic-free.
-  EXPECT_EQ(res.lint.errors(), 0U)
-      << "self-lint: " << rule_id(res.lint.diagnostics[0].rule) << " "
-      << res.lint.diagnostics[0].message << "\n"
-      << lang::unparse(res.program);
+  // Contract: Cachier's own output, linted as the text `cachier annotate`
+  // prints, never contains a hard CICO violation.  Programmer placement
+  // may deliberately drop a check_in when it judges termination will
+  // reclaim the region (matmul's B), which self-lint is allowed to surface
+  // as a warning; the default performance placement must be wholly
+  // diagnostic-free.
+  const std::string out = lang::unparse(res.program);
+  const LintResult self = lint(lang::parse(out));
+  EXPECT_EQ(self.errors(), 0U)
+      << "self-lint: " << rule_id(self.diagnostics[0].rule) << " "
+      << self.diagnostics[0].message << "\n"
+      << out;
   if (mode == cachier::Mode::Performance) {
-    EXPECT_TRUE(res.lint.diagnostics.empty());
-  }
-  // The unparse -> reparse round trip (the `cachier annotate | lint`
-  // pipeline) must agree with the in-memory verdict.
-  const LintResult reparsed = lint(lang::parse(lang::unparse(res.program)));
-  EXPECT_EQ(reparsed.diagnostics.size(), res.lint.diagnostics.size());
-  EXPECT_EQ(reparsed.errors(), 0U);
-  if (mode == cachier::Mode::Performance) {
-    EXPECT_TRUE(reparsed.diagnostics.empty());
+    EXPECT_TRUE(self.diagnostics.empty());
   }
 }
 

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 #include <sys/wait.h>
+#include <tuple>
 #include <vector>
 
 namespace {
@@ -495,63 +496,125 @@ int check_self_lint_positions(const std::string& args) {
   return checked;
 }
 
+/// A stencil time loop followed by a band reduction.  It lints clean, and
+/// `annotate --static -n 4` on it emits CICO005 errors on generated
+/// check_ins (an emitter defect).
+const char* kStencilThenBands =
+    "const R0 = 8;\n"
+    "const M0 = 8;\n"
+    "shared real A0[R0, M0];\n"
+    "shared real B0[R0, M0];\n"
+    "const N1 = 16;\n"
+    "shared real X1[N1];\n"
+    "shared real S1[4];\n"
+    "parallel\n"
+    "  private rs0 = R0 / nprocs;\n"
+    "  private lo0 = max(pid * rs0, 1);\n"
+    "  private hi0 = min(pid * rs0 + rs0 - 1, R0 - 2);\n"
+    "  if pid == 0 then\n"
+    "    for i = 0 to R0 - 1 do\n"
+    "      for j = 0 to M0 - 1 do\n"
+    "        A0[i, j] = (i * 7 + j * 5) % 11;\n"
+    "      od\n"
+    "    od\n"
+    "  fi\n"
+    "  barrier;\n"
+    "  for t = 1 to 2 do\n"
+    "    for i = lo0 to hi0 do\n"
+    "      for j = 1 to M0 - 2 do\n"
+    "        B0[i, j] = 0.25 * (A0[i - 1, j] + A0[i + 1, j] +\n"
+    "                           A0[i, j - 1] + A0[i, j + 1]);\n"
+    "      od\n"
+    "    od\n"
+    "    barrier;\n"
+    "    for i = lo0 to hi0 do\n"
+    "      for j = 1 to M0 - 2 do\n"
+    "        A0[i, j] = B0[i, j];\n"
+    "      od\n"
+    "    od\n"
+    "    barrier;\n"
+    "  od\n"
+    "  private pb1 = N1 / nprocs;\n"
+    "  for i = pid * pb1 to pid * pb1 + pb1 - 1 do\n"
+    "    X1[i] = i * 3 + pid;\n"
+    "  od\n"
+    "  barrier;\n"
+    "  private s1 = 0;\n"
+    "  for i = 0 to N1 - 1 do\n"
+    "    s1 = s1 + X1[i];\n"
+    "  od\n"
+    "  S1[pid] = s1;\n"
+    "  barrier;\n"
+    "end\n";
+
 TEST_F(CliLintTest, SelfLintPositionsPointIntoTheAnnotatedOutput) {
   // Trace mode on barnes: CICO002 warnings on POS reads.
   EXPECT_GT(check_self_lint_positions(g_examples + "/barnes.mp -n 4"), 0)
       << slurp_file("cli_selflint.err");
-  // --static on a stencil time loop followed by a band reduction: CICO005
-  // errors on generated check_ins (an emitter defect; once it is fixed
-  // this input has no diagnostics left to check).
-  write_file("cli_selflint_sb.mp",
-             "const R0 = 8;\n"
-             "const M0 = 8;\n"
-             "shared real A0[R0, M0];\n"
-             "shared real B0[R0, M0];\n"
-             "const N1 = 16;\n"
-             "shared real X1[N1];\n"
-             "shared real S1[4];\n"
-             "parallel\n"
-             "  private rs0 = R0 / nprocs;\n"
-             "  private lo0 = max(pid * rs0, 1);\n"
-             "  private hi0 = min(pid * rs0 + rs0 - 1, R0 - 2);\n"
-             "  if pid == 0 then\n"
-             "    for i = 0 to R0 - 1 do\n"
-             "      for j = 0 to M0 - 1 do\n"
-             "        A0[i, j] = (i * 7 + j * 5) % 11;\n"
-             "      od\n"
-             "    od\n"
-             "  fi\n"
-             "  barrier;\n"
-             "  for t = 1 to 2 do\n"
-             "    for i = lo0 to hi0 do\n"
-             "      for j = 1 to M0 - 2 do\n"
-             "        B0[i, j] = 0.25 * (A0[i - 1, j] + A0[i + 1, j] +\n"
-             "                           A0[i, j - 1] + A0[i, j + 1]);\n"
-             "      od\n"
-             "    od\n"
-             "    barrier;\n"
-             "    for i = lo0 to hi0 do\n"
-             "      for j = 1 to M0 - 2 do\n"
-             "        A0[i, j] = B0[i, j];\n"
-             "      od\n"
-             "    od\n"
-             "    barrier;\n"
-             "  od\n"
-             "  private pb1 = N1 / nprocs;\n"
-             "  for i = pid * pb1 to pid * pb1 + pb1 - 1 do\n"
-             "    X1[i] = i * 3 + pid;\n"
-             "  od\n"
-             "  barrier;\n"
-             "  private s1 = 0;\n"
-             "  for i = 0 to N1 - 1 do\n"
-             "    s1 = s1 + X1[i];\n"
-             "  od\n"
-             "  S1[pid] = s1;\n"
-             "  barrier;\n"
-             "end\n");
+  // --static on kStencilThenBands: CICO005 errors (once the emitter defect
+  // is fixed this input has no diagnostics left to check).
+  write_file("cli_selflint_sb.mp", kStencilThenBands);
   ASSERT_EQ(run_cli("lint cli_selflint_sb.mp").exit_code, 0);
   check_self_lint_positions("--static cli_selflint_sb.mp -n 4");
 }
+
+/// Self-lint oracle over (input, --static?): the `# cachier: self-lint:`
+/// block that `annotate` prints must be exactly what `cachier lint`
+/// prints for its stdout, with the file read as `<annotated>`.  No block
+/// means lint finds nothing on the output.  Inputs are the bundled
+/// examples plus kStencilThenBands, whose static output has errors.
+class CliSelfLintOracleTest
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>> {};
+
+TEST_P(CliSelfLintOracleTest, BlockEqualsLintOfStdout) {
+  const auto& [input, static_mode] = GetParam();
+  std::string src = g_examples + "/" + input;
+  if (input == "cli_selflint_sb.mp") {
+    write_file(input, kStencilThenBands);
+    src = input;
+  }
+  const std::string out = "cli_oracle.out";
+  const int status =
+      std::system(("'" + g_cachier + "' annotate " +
+                   (static_mode ? "--static " : "") + src + " -n 4 > " + out +
+                   " 2> cli_oracle.err")
+                      .c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << status;
+  const std::string err = slurp_file("cli_oracle.err");
+  const std::string marker = "# cachier: self-lint:\n";
+  const std::size_t at = err.find(marker);
+  const std::string block = at == std::string::npos
+                                ? "<annotated>: 0 error(s), 0 warning(s), 0 "
+                                  "note(s)\n"
+                                : err.substr(at + marker.size());
+
+  const CmdResult lint = run_cli("lint " + out);
+  std::istringstream lines(lint.output);
+  std::string expected;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(out + ":", 0) == 0) {
+      line = "<annotated>" + line.substr(out.size());
+    }
+    expected += line + "\n";
+  }
+  EXPECT_EQ(block, expected) << err;
+  EXPECT_EQ(WEXITSTATUS(status) == 2, lint.exit_code == 2)
+      << "annotate exit " << WEXITSTATUS(status) << ", lint exit "
+      << lint.exit_code;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Inputs, CliSelfLintOracleTest,
+    ::testing::Combine(::testing::Values("barnes.mp", "jacobi.mp",
+                                         "matmul44.mp", "mp3d.mp", "ocean.mp",
+                                         "reduce.mp", "tomcatv.mp",
+                                         "cli_selflint_sb.mp"),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      std::string name = std::get<0>(info.param);
+      name = name.substr(0, name.find('.'));
+      return name + (std::get<1>(info.param) ? "_static" : "_trace");
+    });
 
 TEST_F(CliErrorsTest, StaticAnnotateOutputLintsCleanExit0) {
   ASSERT_EQ(run_cli("annotate --static " + prog_ +

@@ -12,7 +12,6 @@
 #include <map>
 
 #include "cico/proto/dir1sw.hpp"
-#include "cico/proto/dirn.hpp"
 
 namespace cico::proto {
 namespace {
@@ -122,33 +121,6 @@ TEST_F(AuditMemoTest, DirtyTrackingSpansAllHomeSlices) {
     EXPECT_NE(diag.find("block " + std::to_string(b)), std::string::npos)
         << diag;
   }
-}
-
-TEST(DirNAuditMemo, IncrementalMatchesFullOnTouchedBlocks) {
-  constexpr std::uint32_t kNodes = 4;
-  CostModel cost{};
-  Stats stats(kNodes);
-  net::Network net(cost, stats);
-  FakeCaches caches;
-  DirNFullMap dir(kNodes, cost, net, stats, caches);
-
-  dir.get_shared(0, 3, 0, false);
-  caches.set(0, 3, LineState::Shared);
-  EXPECT_EQ(dir.check_invariants_incremental(), "");
-
-  dir.get_shared(1, 3, 40, false);
-  caches.set(1, 3, LineState::Shared);
-  caches.set(2, 3, LineState::Exclusive);  // stray copy
-  const std::string diag = dir.check_invariants_incremental();
-  EXPECT_NE(diag, "");
-  EXPECT_EQ(diag, dir.check_invariants());
-
-  // Repair and confirm the memo clears.
-  caches.set(2, 3, LineState::Invalid);
-  EXPECT_EQ(dir.check_invariants_incremental(), "");
-  caches.set(1, 3, LineState::Invalid);      // corrupt behind the memo
-  EXPECT_EQ(dir.check_invariants_incremental(), "");
-  EXPECT_NE(dir.check_invariants(), "");
 }
 
 }  // namespace

@@ -1,10 +1,8 @@
 // Plan-application mechanics inside the engine: epoch-0 start directives,
-// start-of-epoch prefetch runs, check-in runs skipping absent blocks, and
-// the DirN protocol running the whole machine end to end.
+// start-of-epoch prefetch runs and check-in runs skipping absent blocks.
 #include <gtest/gtest.h>
 
 #include "cico/sim/machine.hpp"
-#include "cico/sim/shared_array.hpp"
 
 namespace cico::sim {
 namespace {
@@ -85,66 +83,6 @@ TEST(PlanApplyTest, PlanForOtherEpochsDoesNothing) {
   // Epoch 5 never happens; the read stays a GetS and the store faults.
   EXPECT_EQ(m.stats().total(Stat::WriteFaults), 1u);
   EXPECT_EQ(m.stats().total(Stat::CheckOutX), 0u);
-}
-
-TEST(DirNMachineTest, EndToEndNoTrapsAndCorrectValues) {
-  SimConfig c = small(4);
-  c.protocol = ProtocolKind::DirNFullMap;
-  Machine m(c);
-  SharedArray<double> a(m, "A", 64);
-  m.run([&](Proc& p) {
-    for (std::size_t i = p.id(); i < 64; i += 4) {
-      a.st(p, i, static_cast<double>(i), 1);
-    }
-    p.barrier();
-    // Everyone reads everything: forwarding + sharing, all hardware.
-    double s = 0;
-    for (std::size_t i = 0; i < 64; ++i) s += a.ld(p, i, 2);
-    p.compute(static_cast<Cycle>(s) % 3 + 1);
-  });
-  EXPECT_EQ(m.stats().total(Stat::Traps), 0u);
-  for (std::size_t i = 0; i < 64; ++i) {
-    EXPECT_DOUBLE_EQ(a.raw(i), static_cast<double>(i));
-  }
-  EXPECT_EQ(m.directory().check_invariants(), "");
-  EXPECT_STREQ(m.directory().name(), "dirn-fullmap");
-}
-
-TEST(DirNMachineTest, DeterministicToo) {
-  auto run = [] {
-    SimConfig c = small(4);
-    c.protocol = ProtocolKind::DirNFullMap;
-    Machine m(c);
-    SharedArray<double> a(m, "A", 64);
-    m.run([&](Proc& p) {
-      for (int rep = 0; rep < 2; ++rep) {
-        for (std::size_t i = p.id(); i < 64; i += 4) {
-          a.st(p, i, a.ld(p, i, 1) + 1.0, 2);
-        }
-        p.barrier();
-      }
-    });
-    return std::pair{m.exec_time(), m.stats().total(Stat::Messages)};
-  };
-  EXPECT_EQ(run(), run());
-}
-
-TEST(DirNMachineTest, ContendedWorkloadFasterThanDir1SW) {
-  auto run_with = [&](ProtocolKind pk) {
-    SimConfig c = small(4);
-    c.protocol = pk;
-    Machine m(c);
-    const Addr a = m.heap().alloc(32, "hot");
-    m.run([&](Proc& p) {
-      for (int i = 0; i < 10; ++i) {
-        p.st(a, 8, 1);  // four nodes fight over one block
-        p.compute(50 + 13 * p.id());
-      }
-    });
-    return m.exec_time();
-  };
-  EXPECT_LT(run_with(ProtocolKind::DirNFullMap),
-            run_with(ProtocolKind::Dir1SW));
 }
 
 }  // namespace
