@@ -5,7 +5,8 @@
 // onto node 0 (and so on), corrupting race and false-sharing accessor
 // counts for machines wider than 64 nodes.  The first 64 nodes live in an
 // inline word (the overwhelmingly common case allocates nothing); wider
-// configurations spill into a vector.
+// configurations spill into a vector.  It also holds Dir1SW's sharer sets,
+// whose members the protocol visits in ascending node order.
 #pragma once
 
 #include <bit>
@@ -26,6 +27,21 @@ class NodeMask {
     const std::size_t wi = n / 64 - 1;
     if (hi_.size() <= wi) hi_.resize(wi + 1, 0);
     hi_[wi] |= 1ULL << (n % 64);
+  }
+
+  void reset(std::uint32_t n) {
+    if (n < 64) {
+      lo_ &= ~(1ULL << n);
+      return;
+    }
+    const std::size_t wi = n / 64 - 1;
+    if (wi < hi_.size()) hi_[wi] &= ~(1ULL << (n % 64));
+  }
+
+  /// Empties the mask; spilled words keep their capacity for reuse.
+  void clear() {
+    lo_ = 0;
+    hi_.clear();
   }
 
   [[nodiscard]] bool test(std::uint32_t n) const {
@@ -53,6 +69,45 @@ class NodeMask {
   [[nodiscard]] bool is_sole(std::uint32_t n) const {
     return test(n) && count() == 1;
   }
+
+  /// Ascending-order iterator over the members (range-for).
+  class const_iterator {
+   public:
+    std::uint32_t operator*() const {
+      return static_cast<std::uint32_t>(wi_ * 64 + std::countr_zero(cur_));
+    }
+    const_iterator& operator++() {
+      cur_ &= cur_ - 1;  // clear lowest set bit
+      if (cur_ == 0) advance_word(wi_ + 1);
+      return *this;
+    }
+    friend bool operator==(const const_iterator& x, const const_iterator& y) {
+      return x.wi_ == y.wi_ && x.cur_ == y.cur_;
+    }
+
+   private:
+    friend class NodeMask;
+    const_iterator(const NodeMask* m, std::size_t from) : m_(m) {
+      advance_word(from);
+    }
+    void advance_word(std::size_t from) {
+      for (wi_ = from; wi_ < m_->words(); ++wi_) {
+        cur_ = m_->word(wi_);
+        if (cur_ != 0) return;
+      }
+      cur_ = 0;
+    }
+
+    const NodeMask* m_;
+    std::size_t wi_ = 0;
+    std::uint64_t cur_ = 0;
+  };
+
+  [[nodiscard]] const_iterator begin() const { return {this, 0}; }
+  [[nodiscard]] const_iterator end() const { return {this, words()}; }
+
+  /// Smallest member; the mask must not be empty.
+  [[nodiscard]] std::uint32_t lowest() const { return *begin(); }
 
   NodeMask& operator|=(const NodeMask& o) {
     lo_ |= o.lo_;
@@ -106,6 +161,12 @@ class NodeMask {
   }
 
  private:
+  /// Word i holds nodes 64*i .. 64*i+63.
+  [[nodiscard]] std::size_t words() const { return 1 + hi_.size(); }
+  [[nodiscard]] std::uint64_t word(std::size_t i) const {
+    return i == 0 ? lo_ : hi_[i - 1];
+  }
+
   std::uint64_t lo_ = 0;               ///< nodes 0..63 (no allocation)
   std::vector<std::uint64_t> hi_;      ///< nodes 64.. (rarely used)
 };

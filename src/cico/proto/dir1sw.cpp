@@ -8,46 +8,18 @@ namespace cico::proto {
 using mem::LineState;
 using net::MsgType;
 
-bool DirEntry::has_sharer(NodeId n) const {
-  return std::binary_search(sharers.begin(), sharers.end(), n);
-}
-
-bool DirEntry::has_past_sharer(NodeId n) const {
-  return std::binary_search(past_sharers.begin(), past_sharers.end(), n);
-}
-
 namespace {
-
-void add_sharer(DirEntry& e, NodeId n) {
-  auto it = std::lower_bound(e.sharers.begin(), e.sharers.end(), n);
-  if (it == e.sharers.end() || *it != n) {
-    e.sharers.insert(it, n);
-    e.count = static_cast<std::uint32_t>(e.sharers.size());
-  }
-}
-
-void add_past_sharer(DirEntry& e, NodeId n) {
-  auto it = std::lower_bound(e.past_sharers.begin(), e.past_sharers.end(), n);
-  if (it == e.past_sharers.end() || *it != n) e.past_sharers.insert(it, n);
-}
-
-void remove_sharer(DirEntry& e, NodeId n) {
-  auto it = std::lower_bound(e.sharers.begin(), e.sharers.end(), n);
-  if (it != e.sharers.end() && *it == n) {
-    e.sharers.erase(it);
-    e.count = static_cast<std::uint32_t>(e.sharers.size());
-    add_past_sharer(e, n);
-  }
-}
 
 /// A lost request or reply is detected by the requester's timeout: two
 /// hardware miss latencies after issue.  done_at carries the detection
 /// time so the retry layer can schedule the re-issue.
 ServiceResult dropped_result(Cycle now, const CostModel& cost) {
-  ServiceResult r;
-  r.dropped = true;
-  r.done_at = now + 2 * cost.hw_miss_latency();
-  return r;
+  return {.done_at = now + 2 * cost.hw_miss_latency(), .dropped = true};
+}
+
+/// The hardware counter tracks the size of the software's sharer set.
+void recount(DirEntry& e) {
+  e.count = static_cast<std::uint32_t>(e.sharers.count());
 }
 
 }  // namespace
@@ -62,9 +34,53 @@ const DirEntry* Dir1SW::entry(Block b) const {
   return it == entries_.end() ? nullptr : &it->second;
 }
 
-Cycle Dir1SW::handler_stall(Block b, NodeId req, Cycle at) {
+ServiceResult Dir1SW::reply(ServiceResult r, NodeId req, Block b, MsgType msg,
+                            Cycle at, Cycle now, bool prefetch) {
+  const NodeId home = home_of(b);
+  if (prefetch) {
+    r.done_at = net_->send(home, req, MsgType::PrefetchReply, at, b);
+    return r;
+  }
+  const auto rp = net_->deliver(home, req, msg, at, b);
+  if (rp.dropped) return dropped_result(now, cost_);
+  r.done_at = rp.at;
+  return r;
+}
+
+ServiceResult Dir1SW::nack(NodeId home, Cycle done_at) {
+  net_->count(home, MsgType::Nack);
+  return {.done_at = done_at, .nacked = true};
+}
+
+ServiceResult Dir1SW::nack_put(NodeId req, NodeId home, MsgType msg,
+                               Cycle done_at) {
+  net_->count(req, msg);
+  return nack(home, done_at);
+}
+
+Cycle Dir1SW::trap(ServiceResult& r, NodeId home, Block b, NodeId req,
+                   Cycle at) {
+  stats_->add(home, Stat::Traps);
+  r.trapped = true;
+  // An injected stall is keyed by the block, requester and arrival time.
   fault::FaultInjector* f = net_->fault_injector();
-  return f == nullptr ? 0 : f->handler_stall_at(b, req, at);
+  const Cycle stall = f == nullptr ? 0 : f->handler_stall_at(b, req, at);
+  return at + cost_.dir_trap + stall;
+}
+
+Cycle Dir1SW::recall_owner(DirEntry& e, Block b, NodeId home, Cycle t,
+                           bool keep_copy) {
+  stats_->add(home, Stat::Recalls);
+  t = net_->send(home, e.owner, MsgType::Recall, t, b);
+  if (keep_copy) {
+    caches_->downgrade(e.owner, b);
+  } else {
+    caches_->invalidate(e.owner, b);
+    e.past_sharers.set(e.owner);
+  }
+  t = net_->send(e.owner, home, MsgType::Writeback, t, b);
+  stats_->add(e.owner, Stat::Writebacks);
+  return t + cost_.mem_access;
 }
 
 std::pair<Cycle, std::uint32_t> Dir1SW::invalidate_sharers(DirEntry& e, Block b,
@@ -73,14 +89,12 @@ std::pair<Cycle, std::uint32_t> Dir1SW::invalidate_sharers(DirEntry& e, Block b,
   Cycle occupancy = 0;
   Cycle last_rtt = 0;
   std::uint32_t sent = 0;
-  // Copy: invalidate() does not change the sharer list, but be defensive.
-  std::vector<NodeId> targets = e.sharers;
-  for (NodeId s : targets) {
+  for (const NodeId s : e.sharers) {
     if (s == keep) continue;
     net_->count(home, MsgType::Invalidate);
     net_->count(s, MsgType::Ack);
     caches_->invalidate(s, b);
-    remove_sharer(e, s);
+    e.past_sharers.set(s);
     occupancy += cost_.inval_per_sharer;
     last_rtt = net_->latency(home, s) + net_->latency(s, home);
     ++sent;
@@ -91,197 +105,79 @@ std::pair<Cycle, std::uint32_t> Dir1SW::invalidate_sharers(DirEntry& e, Block b,
 
 ServiceResult Dir1SW::get_shared(NodeId req, Block b, Cycle now, bool prefetch) {
   DirEntry& e = ent(b);
-  const NodeId home = home_of(b);
-  const MsgType req_msg = prefetch ? MsgType::PrefetchReq : MsgType::Request;
-  const MsgType rep_msg = prefetch ? MsgType::PrefetchReply : MsgType::DataReply;
-  ServiceResult r;
-
-  switch (e.state) {
-    case DirState::Idle:
-    case DirState::Shared: {
-      // Hardware path: fill (Idle) or counter increment (Shared).
-      const auto rq = net_->deliver(req, home, req_msg, now, b);
-      if (rq.dropped) return dropped_result(now, cost_);
-      Cycle t = rq.at + cost_.dir_hw + cost_.mem_access;
-      if (e.state == DirState::Idle) e.owner = req;
-      e.state = DirState::Shared;
-      if (prefetch) {
-        // Prefetches are never retried, so their reply leg is modelled
-        // reliable: a lost prefetch is a lost *request* (state untouched).
-        t = net_->send(home, req, rep_msg, t, b);
-        add_sharer(e, req);
-        r.done_at = t;
-        return r;
-      }
-      const auto rp = net_->deliver(home, req, rep_msg, t, b);
-      add_sharer(e, req);
-      if (rp.dropped) return dropped_result(now, cost_);
-      r.done_at = rp.at;
-      return r;
-    }
-    case DirState::Exclusive: {
-      if (e.owner == req) {
-        // Requester already owns the block exclusively; idempotent reply.
-        r.done_at = now + cost_.hit;
-        return r;
-      }
-      if (prefetch) {
-        const auto rq = net_->deliver(req, home, MsgType::PrefetchReq, now, b);
-        if (rq.dropped) return dropped_result(now, cost_);
-        net_->count(home, MsgType::Nack);
-        r.nacked = true;
-        r.done_at = now;
-        return r;
-      }
-      const auto rq = net_->deliver(req, home, MsgType::Request, now, b);
-      if (rq.dropped) return dropped_result(now, cost_);
-      // TRAP: recall the exclusive copy, downgrade the owner to Shared.
-      stats_->add(home, Stat::Traps);
-      stats_->add(home, Stat::Recalls);
-      r.trapped = true;
-      Cycle t = rq.at + cost_.dir_trap + handler_stall(b, req, rq.at);
-      t = net_->send(home, e.owner, MsgType::Recall, t, b);
-      caches_->downgrade(e.owner, b);
-      t = net_->send(e.owner, home, MsgType::Writeback, t, b);
-      stats_->add(e.owner, Stat::Writebacks);
-      t += cost_.mem_access;
-      const auto rp = net_->deliver(home, req, MsgType::DataReply, t, b);
-      e.state = DirState::Shared;
-      add_sharer(e, e.owner);
-      add_sharer(e, req);
-      if (rp.dropped) return dropped_result(now, cost_);
-      r.done_at = rp.at;
-      return r;
-    }
+  if (e.state == DirState::Exclusive && e.owner == req) {
+    // Requester already owns the block exclusively; idempotent reply.
+    return {.done_at = now + cost_.hit};
   }
-  r.done_at = now;
-  return r;
+  const NodeId home = home_of(b);
+  const auto rq = net_->deliver(
+      req, home, prefetch ? MsgType::PrefetchReq : MsgType::Request, now, b);
+  if (rq.dropped) return dropped_result(now, cost_);
+  ServiceResult r;
+  Cycle t = rq.at;
+  if (e.state != DirState::Exclusive) {
+    // Hardware path: fill (Idle) or counter increment (Shared).
+    t += cost_.dir_hw + cost_.mem_access;
+    if (e.state == DirState::Idle) e.owner = req;
+  } else if (prefetch) {
+    return nack(home, now);
+  } else {
+    // TRAP: recall the exclusive copy, downgrade the owner to Shared.
+    t = recall_owner(e, b, home, trap(r, home, b, req, t), /*keep_copy=*/true);
+    e.sharers.set(e.owner);
+  }
+  e.state = DirState::Shared;
+  e.sharers.set(req);
+  recount(e);
+  return reply(r, req, b, MsgType::DataReply, t, now, prefetch);
 }
 
 ServiceResult Dir1SW::get_exclusive(NodeId req, Block b, Cycle now,
                                     bool prefetch) {
   DirEntry& e = ent(b);
-  const NodeId home = home_of(b);
-  const MsgType req_msg = prefetch ? MsgType::PrefetchReq : MsgType::Request;
-  const MsgType rep_msg = prefetch ? MsgType::PrefetchReply : MsgType::DataReply;
-  ServiceResult r;
-
-  switch (e.state) {
-    case DirState::Idle: {
-      const auto rq = net_->deliver(req, home, req_msg, now, b);
-      if (rq.dropped) return dropped_result(now, cost_);
-      Cycle t = rq.at + cost_.dir_hw + cost_.mem_access;
-      if (prefetch) {
-        t = net_->send(home, req, rep_msg, t, b);
-        e.state = DirState::Exclusive;
-        e.owner = req;
-        e.sharers.clear();
-        e.count = 0;
-        r.done_at = t;
-        return r;
-      }
-      const auto rp = net_->deliver(home, req, rep_msg, t, b);
-      e.state = DirState::Exclusive;
-      e.owner = req;
-      e.sharers.clear();
-      e.count = 0;
-      if (rp.dropped) return dropped_result(now, cost_);
-      r.done_at = rp.at;
-      return r;
-    }
-    case DirState::Shared: {
-      const bool sole = e.sharers.size() == 1 && e.has_sharer(req);
-      if (sole) {
-        // Hardware upgrade: counter==1 and the pointer names the requester,
-        // so no invalidations are needed and no data moves.
-        const auto rq = net_->deliver(req, home, req_msg, now, b);
-        if (rq.dropped) return dropped_result(now, cost_);
-        Cycle t = rq.at + cost_.dir_hw;
-        if (prefetch) {
-          t = net_->send(home, req, MsgType::PrefetchReply, t, b);
-          e.state = DirState::Exclusive;
-          e.owner = req;
-          e.sharers.clear();
-          e.count = 0;
-          r.done_at = t;
-          return r;
-        }
-        const auto rp = net_->deliver(home, req, MsgType::Ack, t, b);
-        e.state = DirState::Exclusive;
-        e.owner = req;
-        e.sharers.clear();
-        e.count = 0;
-        if (rp.dropped) return dropped_result(now, cost_);
-        r.done_at = rp.at;
-        return r;
-      }
-      if (prefetch) {
-        const auto rq = net_->deliver(req, home, MsgType::PrefetchReq, now, b);
-        if (rq.dropped) return dropped_result(now, cost_);
-        net_->count(home, MsgType::Nack);
-        r.nacked = true;
-        r.done_at = now;
-        return r;
-      }
-      const auto rq = net_->deliver(req, home, MsgType::Request, now, b);
-      if (rq.dropped) return dropped_result(now, cost_);
-      // TRAP: software invalidates every other sharer.
-      stats_->add(home, Stat::Traps);
-      r.trapped = true;
-      const bool req_had_copy = e.has_sharer(req);
-      Cycle t = rq.at + cost_.dir_trap + handler_stall(b, req, rq.at);
-      auto [inval_cycles, sent] = invalidate_sharers(e, b, home, req);
-      t += inval_cycles;
-      r.invalidations = sent;
-      if (!req_had_copy) t += cost_.mem_access;
-      const auto rp = net_->deliver(
-          home, req, req_had_copy ? MsgType::Ack : MsgType::DataReply, t, b);
-      e.state = DirState::Exclusive;
-      e.owner = req;
-      e.sharers.clear();
-      e.count = 0;
-      if (rp.dropped) return dropped_result(now, cost_);
-      r.done_at = rp.at;
-      return r;
-    }
-    case DirState::Exclusive: {
-      if (e.owner == req) {
-        r.done_at = now + cost_.hit;
-        return r;
-      }
-      if (prefetch) {
-        const auto rq = net_->deliver(req, home, MsgType::PrefetchReq, now, b);
-        if (rq.dropped) return dropped_result(now, cost_);
-        net_->count(home, MsgType::Nack);
-        r.nacked = true;
-        r.done_at = now;
-        return r;
-      }
-      const auto rq = net_->deliver(req, home, MsgType::Request, now, b);
-      if (rq.dropped) return dropped_result(now, cost_);
-      // TRAP: recall and invalidate the current owner.
-      stats_->add(home, Stat::Traps);
-      stats_->add(home, Stat::Recalls);
-      r.trapped = true;
-      Cycle t = rq.at + cost_.dir_trap + handler_stall(b, req, rq.at);
-      t = net_->send(home, e.owner, MsgType::Recall, t, b);
-      caches_->invalidate(e.owner, b);
-      add_past_sharer(e, e.owner);
-      t = net_->send(e.owner, home, MsgType::Writeback, t, b);
-      stats_->add(e.owner, Stat::Writebacks);
-      t += cost_.mem_access;
-      const auto rp = net_->deliver(home, req, MsgType::DataReply, t, b);
-      r.invalidations = 1;
-      e.owner = req;
-      e.sharers.clear();
-      e.count = 0;
-      if (rp.dropped) return dropped_result(now, cost_);
-      r.done_at = rp.at;
-      return r;
-    }
+  if (e.state == DirState::Exclusive && e.owner == req) {
+    return {.done_at = now + cost_.hit};
   }
-  r.done_at = now;
-  return r;
+  const NodeId home = home_of(b);
+  const auto rq = net_->deliver(
+      req, home, prefetch ? MsgType::PrefetchReq : MsgType::Request, now, b);
+  if (rq.dropped) return dropped_result(now, cost_);
+  ServiceResult r;
+  Cycle t = rq.at;
+  MsgType msg = MsgType::DataReply;
+  if (e.state == DirState::Idle) {
+    t += cost_.dir_hw + cost_.mem_access;
+  } else if (e.state == DirState::Shared && e.sharers.is_sole(req)) {
+    // Hardware upgrade: counter==1 and the pointer names the requester,
+    // so no invalidations are needed and no data moves.
+    t += cost_.dir_hw;
+    msg = MsgType::Ack;
+  } else if (prefetch) {
+    return nack(home, now);
+  } else if (e.state == DirState::Shared) {
+    // TRAP: software invalidates every other sharer.
+    const bool req_had_copy = e.has_sharer(req);
+    t = trap(r, home, b, req, t);
+    const auto [inval_cycles, sent] = invalidate_sharers(e, b, home, req);
+    t += inval_cycles;
+    r.invalidations = sent;
+    if (req_had_copy) {
+      msg = MsgType::Ack;
+    } else {
+      t += cost_.mem_access;
+    }
+  } else {
+    // TRAP: recall and invalidate the current owner.
+    t = recall_owner(e, b, home, trap(r, home, b, req, t),
+                     /*keep_copy=*/false);
+    r.invalidations = 1;
+  }
+  // The requester becomes the exclusive owner.
+  e.state = DirState::Exclusive;
+  e.owner = req;
+  e.sharers.clear();
+  e.count = 0;
+  return reply(r, req, b, msg, t, now, prefetch);
 }
 
 ServiceResult Dir1SW::put(NodeId req, Block b, bool dirty, Cycle now,
@@ -289,103 +185,72 @@ ServiceResult Dir1SW::put(NodeId req, Block b, bool dirty, Cycle now,
   DirEntry& e = ent(b);
   const NodeId home = home_of(b);
   const MsgType msg = explicit_ci ? MsgType::Directive : MsgType::Writeback;
-  ServiceResult r;
   // Check-ins are fire-and-forget: the requester pays issue occupancy only.
-  r.done_at = now + (explicit_ci ? cost_.directive_issue : 0);
-
-  switch (e.state) {
-    case DirState::Idle: {
-      net_->count(req, msg);
-      net_->count(home, MsgType::Nack);
-      r.nacked = true;
-      return r;
-    }
-    case DirState::Shared: {
-      if (!e.has_sharer(req)) {
-        net_->count(req, msg);
-        net_->count(home, MsgType::Nack);
-        r.nacked = true;
-        return r;
-      }
-      // A lost check-in must not touch the directory: the block stays
-      // checked out until the retransmit lands (retry layer in the sim).
-      const auto d = net_->deliver(req, home, msg, now, b);
-      if (d.dropped) return dropped_result(now, cost_);
-      remove_sharer(e, req);
-      if (e.sharers.empty()) {
-        e.state = DirState::Idle;
-        e.owner = kInvalidNode;
-      } else {
-        e.owner = e.sharers.front();
-      }
-      return r;
-    }
-    case DirState::Exclusive: {
-      if (e.owner != req) {
-        net_->count(req, msg);
-        net_->count(home, MsgType::Nack);
-        r.nacked = true;
-        return r;
-      }
-      const auto d =
-          net_->deliver(req, home, dirty ? MsgType::Writeback : msg, now, b);
-      if (d.dropped) return dropped_result(now, cost_);
-      if (dirty) stats_->add(req, Stat::Writebacks);
-      add_past_sharer(e, req);
-      e.state = DirState::Idle;
-      e.owner = kInvalidNode;
-      e.sharers.clear();
-      e.count = 0;
-      return r;
-    }
+  const Cycle done_at = now + (explicit_ci ? cost_.directive_issue : 0);
+  const bool owner = e.state == DirState::Exclusive;
+  const bool holds = owner ? e.owner == req
+                           : e.state == DirState::Shared && e.has_sharer(req);
+  if (!holds) return nack_put(req, home, msg, done_at);
+  // A lost check-in must not touch the directory: the block stays
+  // checked out until the retransmit lands (retry layer in the sim).
+  const auto d = net_->deliver(
+      req, home, owner && dirty ? MsgType::Writeback : msg, now, b);
+  if (d.dropped) return dropped_result(now, cost_);
+  if (owner && dirty) stats_->add(req, Stat::Writebacks);
+  // An exclusive owner is the only holder (its sharer set is empty).
+  e.sharers.reset(req);
+  e.past_sharers.set(req);
+  recount(e);
+  if (e.sharers.any()) {
+    e.owner = e.sharers.lowest();
+  } else {
+    e.state = DirState::Idle;
+    e.owner = kInvalidNode;
   }
-  return r;
+  return {.done_at = done_at};
 }
 
 ServiceResult Dir1SW::post_store(NodeId req, Block b, Cycle now) {
   DirEntry& e = ent(b);
   const NodeId home = home_of(b);
-  ServiceResult r;
-  r.done_at = now + cost_.directive_issue;
+  const Cycle done_at = now + cost_.directive_issue;
   if (e.state != DirState::Exclusive || e.owner != req) {
     // Only a current exclusive owner can post-store; otherwise ignore
     // (directives never affect semantics).
-    net_->count(req, net::MsgType::Directive);
-    net_->count(home, net::MsgType::Nack);
-    r.nacked = true;
-    return r;
+    return nack_put(req, home, MsgType::Directive, done_at);
   }
   // Write back and downgrade the writer to Shared.
-  const auto d = net_->deliver(req, home, net::MsgType::Writeback, now, b);
+  const auto d = net_->deliver(req, home, MsgType::Writeback, now, b);
   if (d.dropped) return dropped_result(now, cost_);
   stats_->add(req, Stat::Writebacks);
   caches_->downgrade(req, b);
   e.state = DirState::Shared;
   e.sharers.clear();
-  add_sharer(e, req);
+  e.sharers.set(req);
   // Push read-only copies to every past sharer (off the critical path;
   // messages counted, occupancy charged at the home).
-  const std::vector<NodeId> targets = e.past_sharers;
-  for (NodeId n : targets) {
+  for (const NodeId n : e.past_sharers) {
     if (n == req) continue;
-    net_->count(home, net::MsgType::DataReply);
+    net_->count(home, MsgType::DataReply);
     caches_->push_shared(n, b);
-    add_sharer(e, n);
+    e.sharers.set(n);
   }
+  recount(e);
   e.owner = req;
-  return r;
+  return {.done_at = done_at};
 }
 
 void Dir1SW::check_block(Block b, const DirEntry& e,
                          std::ostringstream& bad) const {
-  if (e.count != e.sharers.size() &&
+  const auto set_size = static_cast<std::uint32_t>(e.sharers.count());
+  if (e.count != set_size &&
       !(e.state == DirState::Exclusive || e.state == DirState::Idle)) {
     bad << "block " << b << ": counter " << e.count << " != sharer set size "
-        << e.sharers.size() << "\n";
+        << set_size << "\n";
   }
   switch (e.state) {
     case DirState::Idle:
-      if (!e.sharers.empty())
+      if (e.sharers.any())
         bad << "block " << b << ": Idle with sharers\n";
       for (NodeId n = 0; n < nodes_; ++n) {
         if (caches_->peek(n, b) != LineState::Invalid)
@@ -393,7 +258,7 @@ void Dir1SW::check_block(Block b, const DirEntry& e,
       }
       break;
     case DirState::Shared:
-      if (e.sharers.empty())
+      if (!e.sharers.any())
         bad << "block " << b << ": Shared with empty sharer set\n";
       for (NodeId n = 0; n < nodes_; ++n) {
         const LineState ls = caches_->peek(n, b);

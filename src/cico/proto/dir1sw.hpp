@@ -35,6 +35,7 @@
 
 #include "cico/common/cost.hpp"
 #include "cico/kern/bitset.hpp"
+#include "cico/kern/nodemask.hpp"
 #include "cico/common/stats.hpp"
 #include "cico/common/types.hpp"
 #include "cico/mem/cache.hpp"
@@ -52,11 +53,10 @@ struct DirEntry {
   DirState state = DirState::Idle;
   NodeId owner = kInvalidNode;  ///< hardware pointer (first sharer / owner)
   std::uint32_t count = 0;      ///< hardware sharer counter
-  std::vector<NodeId> sharers;  ///< software's full sharer set (sorted)
-  std::vector<NodeId> past_sharers;  ///< previous holders (sorted)
+  kern::NodeMask sharers;       ///< software's full sharer set
+  kern::NodeMask past_sharers;  ///< previous holders
 
-  [[nodiscard]] bool has_sharer(NodeId n) const;
-  [[nodiscard]] bool has_past_sharer(NodeId n) const;
+  [[nodiscard]] bool has_sharer(NodeId n) const { return sharers.test(n); }
 };
 
 /// Interface through which the software handler manipulates remote caches.
@@ -147,11 +147,38 @@ class Dir1SW {
   /// One block's share of check_invariants (stable diagnostic order).
   void check_block(Block b, const DirEntry& e, std::ostringstream& bad) const;
 
-  /// Injected software-handler stall (0 when no injector is attached).
-  /// The block/requester/time identify the invocation for keyed draws.
-  [[nodiscard]] Cycle handler_stall(Block b, NodeId req, Cycle at);
+  /// Reply leg of a request serviced at `at` (the request was issued at
+  /// `now`): completes `r`.  A demand reply `msg` is droppable, and a lost
+  /// one yields the requester's loss detection instead.  Prefetches are
+  /// never retried, so their reply is a PrefetchReply on the reliable leg:
+  /// a lost prefetch is always a lost *request*, which changes no state.
+  ServiceResult reply(ServiceResult r, NodeId req, Block b, net::MsgType msg,
+                      Cycle at, Cycle now, bool prefetch);
 
-  /// Software handler: invalidate every sharer except `keep`.
+  /// Refusal: the home answers with a Nack; the requester goes on at
+  /// `done_at`.  Prefetches that would trap are refused this way.
+  ServiceResult nack(NodeId home, Cycle done_at);
+
+  /// A put or post-store the directory refuses (the requester does not
+  /// hold the block as required): `msg` is sent, changes nothing, and is
+  /// nacked.
+  ServiceResult nack_put(NodeId req, NodeId home, net::MsgType msg,
+                         Cycle done_at);
+
+  /// Software-handler entry for a request from `req` that arrived at
+  /// `at`: counts the trap, marks `r`, and returns when the handler starts
+  /// work (trap cost plus any injected handler stall).
+  Cycle trap(ServiceResult& r, NodeId home, Block b, NodeId req, Cycle at);
+
+  /// Software handler: recalls the exclusive copy from `e.owner`, which
+  /// keeps a Shared copy (`keep_copy`) or loses it and becomes a past
+  /// sharer.  Returns when the written-back data is in memory.
+  Cycle recall_owner(DirEntry& e, Block b, NodeId home, Cycle t,
+                     bool keep_copy);
+
+  /// Software handler: invalidates every sharer except `keep`, in
+  /// ascending node order, and records them as past sharers.  The sharer
+  /// set itself is left to the caller, which hands the block to `keep`.
   /// Returns (cycles of handler occupancy + last-ack latency, #invals).
   std::pair<Cycle, std::uint32_t> invalidate_sharers(DirEntry& e, Block b,
                                                      NodeId home, NodeId keep);

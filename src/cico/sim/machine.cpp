@@ -212,7 +212,10 @@ void Machine::after_access(NodeCtx& c, NodeId n, Block b, bool write) {
   if (ned == nullptr) return;
   const bool fire = ned->checkin_after_access.contains(b) ||
                     (write && ned->checkin_after_write.contains(b));
-  if (!fire) return;
+  if (fire) check_in_line(c, n, b, /*queued=*/true);
+}
+
+void Machine::check_in_line(NodeCtx& c, NodeId n, Block b, bool queued) {
   const LineState st = c.cache.state_of(b);
   if (st == LineState::Invalid) return;
   stats_.add(n, Stat::CheckIns);
@@ -221,14 +224,29 @@ void Machine::after_access(NodeCtx& c, NodeId n, Block b, bool write) {
   c.now += cfg_.cost.directive_issue;
   c.cache.erase(b);
   c.prefetch_ready.erase(b);
-  AsyncOp op;
+  const bool dirty = st == LineState::Exclusive;
+  if (queued) {
+    queue_op(c, {.kind = AsyncOp::Kind::Put,
+                 .block = b,
+                 .dirty = dirty,
+                 .explicit_ci = true});
+  } else {
+    reliable_put(n, b, dirty, c.now, /*explicit_ci=*/true);
+  }
+}
+
+void Machine::queue_op(NodeCtx& c, AsyncOp op) {
   op.time = c.now;
   op.seq = c.async_seq++;
-  op.kind = AsyncOp::Kind::Put;
-  op.block = b;
-  op.dirty = st == LineState::Exclusive;
-  op.explicit_ci = true;
   c.async.push_back(op);
+}
+
+void Machine::charge_prefetch_issue(NodeCtx& c, NodeId n, bool exclusive) {
+  stats_.add(n, Stat::PrefetchIssued);
+  stats_.add(n, exclusive ? Stat::PrefetchX : Stat::PrefetchS);
+  stats_.add(n, exclusive ? Stat::PrefetchXCycles : Stat::PrefetchSCycles,
+             cfg_.cost.prefetch_issue);
+  c.now += cfg_.cost.prefetch_issue;
 }
 
 void Machine::access(NodeId n, Addr a, std::uint32_t size, bool write, PcId pc) {
@@ -272,12 +290,7 @@ void Machine::do_lock(NodeId n, Addr a) {
 
 void Machine::do_unlock(NodeId n, Addr a) {
   NodeCtx& c = *ctxs_[n];
-  AsyncOp op;
-  op.time = c.now;
-  op.seq = c.async_seq++;
-  op.kind = AsyncOp::Kind::Unlock;
-  op.lock_addr = a;
-  c.async.push_back(op);
+  queue_op(c, {.kind = AsyncOp::Kind::Unlock, .lock_addr = a});
   c.now += cfg_.cost.directive_issue;
   maybe_window_park(c);
 }
@@ -296,22 +309,7 @@ void Machine::checkin_inline(NodeCtx& c, NodeId n, Addr a, std::uint64_t bytes) 
   const Block first = cfg_.cache.first_block(a);
   const Block last = cfg_.cache.last_block(a, bytes);
   for (Block b = first; b <= last; ++b) {
-    const LineState st = c.cache.state_of(b);
-    if (st == LineState::Invalid) continue;
-    stats_.add(n, Stat::CheckIns);
-    stats_.add(n, Stat::DirectiveCycles, cfg_.cost.directive_issue);
-    stats_.add(n, Stat::CheckInCycles, cfg_.cost.directive_issue);
-    c.now += cfg_.cost.directive_issue;
-    c.cache.erase(b);
-    c.prefetch_ready.erase(b);
-    AsyncOp op;
-    op.time = c.now;
-    op.seq = c.async_seq++;
-    op.kind = AsyncOp::Kind::Put;
-    op.block = b;
-    op.dirty = st == LineState::Exclusive;
-    op.explicit_ci = true;
-    c.async.push_back(op);
+    check_in_line(c, n, b, /*queued=*/true);
   }
   maybe_window_park(c);
 }
@@ -328,12 +326,7 @@ void Machine::poststore_inline(NodeCtx& c, NodeId n, Addr a,
     c.now += cfg_.cost.directive_issue;
     // The writer keeps a Shared copy; the downgrade happens when the
     // directory processes the post-store at the boundary.
-    AsyncOp op;
-    op.time = c.now;
-    op.seq = c.async_seq++;
-    op.kind = AsyncOp::Kind::PostStore;
-    op.block = b;
-    c.async.push_back(op);
+    queue_op(c, {.kind = AsyncOp::Kind::PostStore, .block = b});
   }
   maybe_window_park(c);
 }
@@ -343,18 +336,10 @@ void Machine::prefetch_inline(NodeCtx& c, NodeId n, bool exclusive, Addr a,
   const Block first = cfg_.cache.first_block(a);
   const Block last = cfg_.cache.last_block(a, bytes);
   for (Block b = first; b <= last; ++b) {
-    stats_.add(n, Stat::PrefetchIssued);
-    stats_.add(n, exclusive ? Stat::PrefetchX : Stat::PrefetchS);
-    stats_.add(n, exclusive ? Stat::PrefetchXCycles : Stat::PrefetchSCycles,
-               cfg_.cost.prefetch_issue);
-    c.now += cfg_.cost.prefetch_issue;
-    AsyncOp op;
-    op.time = c.now;
-    op.seq = c.async_seq++;
-    op.kind = AsyncOp::Kind::Prefetch;
-    op.block = b;
-    op.exclusive = exclusive;
-    c.async.push_back(op);
+    charge_prefetch_issue(c, n, exclusive);
+    queue_op(c, {.kind = AsyncOp::Kind::Prefetch,
+                 .block = b,
+                 .exclusive = exclusive});
   }
   maybe_window_park(c);
 }
@@ -668,9 +653,10 @@ void Machine::service_mem(NodeCtx& c, NodeId n) {
   c.wait = NodeCtx::Wait::Ready;
 }
 
-Cycle Machine::do_checkout(NodeCtx& c, NodeId n, DirectiveKind kind,
-                           BlockRun run, Cycle t) {
+void Machine::check_out(NodeCtx& c, NodeId n, DirectiveKind kind, BlockRun run,
+                        Cycle t0) {
   const bool excl = kind == DirectiveKind::CheckOutX;
+  Cycle t = t0;
   for (Block b = run.first; b <= run.last; ++b) {
     stats_.add(n, excl ? Stat::CheckOutX : Stat::CheckOutS);
     t += cfg_.cost.directive_issue;
@@ -680,49 +666,29 @@ Cycle Machine::do_checkout(NodeCtx& c, NodeId n, DirectiveKind kind,
     }
     // Check-out ranges block the node but are serviced in one boundary
     // visit, so lost requests are retried inline rather than by re-parking.
-    proto::ServiceResult res;
-    std::uint32_t attempt = 0;
-    Cycle req_t = t;
-    for (;;) {
-      req_t = t;
-      res = excl ? dir_.get_exclusive(n, b, t, false)
-                 : dir_.get_shared(n, b, t, false);
-      if (!res.dropped) break;
-      if (inline_retry_exhausted(attempt)) {
-        std::ostringstream os;
-        os << "node " << n << ": check-out of block " << b << " lost "
-           << (attempt + 1) << " times; retry budget exhausted at t="
-           << res.done_at;
-        abort_run(std::make_exception_ptr(ProtocolTimeout(os.str())),
-                  os.str());
-        return t;
-      }
-      stats_.add(n, Stat::Retries);
-      t = res.done_at + retry_backoff(attempt);
-      ++attempt;
-    }
+    const proto::ServiceResult res =
+        retry_inline(n, b, "check-out", t, [&](Cycle at) {
+          return excl ? dir_.get_exclusive(n, b, at, false)
+                      : dir_.get_shared(n, b, at, false);
+        });
+    if (res.dropped) break;  // budget exhausted: the run is aborting
     if (res.trapped) {
-      record_obs_trap(n, b, req_t, res.done_at, res.invalidations, c.epoch);
+      record_obs_trap(n, b, t, res.done_at, res.invalidations, c.epoch);
     }
     insert_line(c, n, b, excl ? LineState::Exclusive : LineState::Shared,
                 res.done_at);
     t = res.done_at;
-    if (aborted_) return t;
+    if (aborted_) break;
   }
-  return t;
+  stats_.add(n, Stat::DirectiveCycles, t - t0);
+  stats_.add(n, excl ? Stat::CheckOutXCycles : Stat::CheckOutSCycles, t - t0);
+  c.now = t;
 }
 
 void Machine::service_checkout_range(NodeCtx& c, NodeId n) {
   const BlockRun run{cfg_.cache.first_block(c.op_addr),
                      cfg_.cache.last_block(c.op_addr, c.op_bytes)};
-  const Cycle t0 = c.op_time;
-  const Cycle t = do_checkout(c, n, c.op_dir, run, t0);
-  stats_.add(n, Stat::DirectiveCycles, t - t0);
-  stats_.add(n,
-             c.op_dir == DirectiveKind::CheckOutX ? Stat::CheckOutXCycles
-                                                  : Stat::CheckOutSCycles,
-             t - t0);
-  c.now = t;
+  check_out(c, n, c.op_dir, run, c.op_time);
   c.wait = NodeCtx::Wait::Ready;
 }
 
@@ -895,25 +861,14 @@ void Machine::apply_epoch_start(NodeId n, EpochId e) {
   for (const PlannedDirective& pd : ned->at_start) {
     switch (pd.kind) {
       case DirectiveKind::CheckOutX:
-      case DirectiveKind::CheckOutS: {
-        const Cycle t0 = c.now;
-        c.now = do_checkout(c, n, pd.kind, pd.run, c.now);
-        stats_.add(n, Stat::DirectiveCycles, c.now - t0);
-        stats_.add(n,
-                   pd.kind == DirectiveKind::CheckOutX ? Stat::CheckOutXCycles
-                                                       : Stat::CheckOutSCycles,
-                   c.now - t0);
+      case DirectiveKind::CheckOutS:
+        check_out(c, n, pd.kind, pd.run, c.now);
         break;
-      }
       case DirectiveKind::PrefetchX:
       case DirectiveKind::PrefetchS: {
         const bool excl = pd.kind == DirectiveKind::PrefetchX;
         for (Block b = pd.run.first; b <= pd.run.last; ++b) {
-          stats_.add(n, Stat::PrefetchIssued);
-          stats_.add(n, excl ? Stat::PrefetchX : Stat::PrefetchS);
-          stats_.add(n, excl ? Stat::PrefetchXCycles : Stat::PrefetchSCycles,
-                     cfg_.cost.prefetch_issue);
-          c.now += cfg_.cost.prefetch_issue;
+          charge_prefetch_issue(c, n, excl);
           service_prefetch(c, n, b, excl, c.now);
         }
         break;
@@ -932,15 +887,7 @@ void Machine::apply_epoch_end(NodeId n, EpochId e) {
   for (const PlannedDirective& pd : ned->at_end) {
     if (pd.kind != DirectiveKind::CheckIn) continue;
     for (Block b = pd.run.first; b <= pd.run.last; ++b) {
-      const LineState st = c.cache.state_of(b);
-      if (st == LineState::Invalid) continue;
-      stats_.add(n, Stat::CheckIns);
-      stats_.add(n, Stat::DirectiveCycles, cfg_.cost.directive_issue);
-      stats_.add(n, Stat::CheckInCycles, cfg_.cost.directive_issue);
-      c.now += cfg_.cost.directive_issue;
-      c.cache.erase(b);
-      c.prefetch_ready.erase(b);
-      reliable_put(n, b, st == LineState::Exclusive, c.now, true);
+      check_in_line(c, n, b, /*queued=*/false);
     }
   }
 }
@@ -958,15 +905,6 @@ Cycle Machine::retry_backoff(std::uint32_t attempt) const {
   return d < cfg_.faults.backoff_cap ? d : cfg_.faults.backoff_cap;
 }
 
-bool Machine::inline_retry_exhausted(std::uint32_t attempt) const {
-  // Inline retries cannot park the node, so even an "unbounded" budget is
-  // capped: 64 consecutive losses of one message only happens when the
-  // drop rate is effectively 1, and then aborting beats spinning.
-  const std::uint32_t budget =
-      cfg_.faults.max_retries != 0 ? cfg_.faults.max_retries : 64;
-  return attempt >= budget;
-}
-
 void Machine::abort_run(std::exception_ptr e, std::string msg) {
   if (aborted_) return;
   aborted_ = true;
@@ -974,45 +912,42 @@ void Machine::abort_run(std::exception_ptr e, std::string msg) {
   abort_error_ = std::move(e);
 }
 
+template <class Issue>
+proto::ServiceResult Machine::retry_inline(NodeId n, Block b, const char* what,
+                                           Cycle& t, Issue&& issue) {
+  // Inline retries cannot park the node, so even an "unbounded" budget is
+  // capped: 64 consecutive losses of one message only happens when the
+  // drop rate is effectively 1, and then aborting beats spinning.
+  const std::uint32_t budget =
+      cfg_.faults.max_retries != 0 ? cfg_.faults.max_retries : 64;
+  for (std::uint32_t attempt = 0;; ++attempt) {
+    const proto::ServiceResult res = issue(t);
+    if (!res.dropped) return res;
+    if (attempt >= budget) {
+      std::ostringstream os;
+      os << "node " << n << ": " << what << " of block " << b << " lost "
+         << (attempt + 1) << " times; retry budget exhausted at t="
+         << res.done_at;
+      abort_run(std::make_exception_ptr(ProtocolTimeout(os.str())), os.str());
+      return res;
+    }
+    stats_.add(n, Stat::Retries);
+    t = res.done_at + retry_backoff(attempt);
+  }
+}
+
 void Machine::reliable_put(NodeId n, Block b, bool dirty, Cycle t,
                            bool explicit_ci) {
   // The caller already erased the line from its cache, so the put MUST
   // land eventually or the directory stays permanently ahead of the cache.
-  std::uint32_t attempt = 0;
-  for (;;) {
-    const proto::ServiceResult res = dir_.put(n, b, dirty, t, explicit_ci);
-    if (!res.dropped) return;
-    if (inline_retry_exhausted(attempt)) {
-      std::ostringstream os;
-      os << "node " << n << ": check-in of block " << b << " lost "
-         << (attempt + 1) << " times; retry budget exhausted at t="
-         << res.done_at;
-      abort_run(std::make_exception_ptr(ProtocolTimeout(os.str())), os.str());
-      return;
-    }
-    stats_.add(n, Stat::Retries);
-    t = res.done_at + retry_backoff(attempt);
-    ++attempt;
-  }
+  retry_inline(n, b, "check-in", t, [&](Cycle at) {
+    return dir_.put(n, b, dirty, at, explicit_ci);
+  });
 }
 
 void Machine::reliable_post_store(NodeId n, Block b, Cycle t) {
-  std::uint32_t attempt = 0;
-  for (;;) {
-    const proto::ServiceResult res = dir_.post_store(n, b, t);
-    if (!res.dropped) return;
-    if (inline_retry_exhausted(attempt)) {
-      std::ostringstream os;
-      os << "node " << n << ": post-store of block " << b << " lost "
-         << (attempt + 1) << " times; retry budget exhausted at t="
-         << res.done_at;
-      abort_run(std::make_exception_ptr(ProtocolTimeout(os.str())), os.str());
-      return;
-    }
-    stats_.add(n, Stat::Retries);
-    t = res.done_at + retry_backoff(attempt);
-    ++attempt;
-  }
+  retry_inline(n, b, "post-store", t,
+               [&](Cycle at) { return dir_.post_store(n, b, at); });
 }
 
 void Machine::audit_now(const std::string& when, bool full) {

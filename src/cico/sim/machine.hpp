@@ -288,6 +288,15 @@ class Machine {
   void prefetch_inline(NodeCtx& c, NodeId n, bool exclusive, Addr a,
                        std::uint64_t bytes);
   void after_access(NodeCtx& c, NodeId n, Block b, bool write);
+  /// Checks in block b if node n holds it: charges the directive, drops
+  /// the line, and sends the put -- queued for the boundary phase
+  /// (`queued`, on the node fiber) or at once (in the boundary phase).
+  void check_in_line(NodeCtx& c, NodeId n, Block b, bool queued);
+  /// Queues `op` for the boundary phase, stamped with the node's time and
+  /// issue order.
+  void queue_op(NodeCtx& c, AsyncOp op);
+  /// Charges one prefetch issue to node n's clock and counters.
+  void charge_prefetch_issue(NodeCtx& c, NodeId n, bool exclusive);
   void consume_prefetch(NodeCtx& c, NodeId n, Block b);
   void maybe_window_park(NodeCtx& c);
   void park(NodeCtx& c, NodeCtx::Wait w);
@@ -308,8 +317,10 @@ class Machine {
   void execute_item(const Item& it);
   void service_mem(NodeCtx& c, NodeId n);
   void service_checkout_range(NodeCtx& c, NodeId n);
-  Cycle do_checkout(NodeCtx& c, NodeId n, DirectiveKind kind, BlockRun run,
-                    Cycle t);
+  /// Checks out `run` from time t0 and charges the node's clock and
+  /// directive cycles up to the last fill.
+  void check_out(NodeCtx& c, NodeId n, DirectiveKind kind, BlockRun run,
+                 Cycle t0);
   void service_prefetch(NodeCtx& c, NodeId n, Block b, bool exclusive, Cycle t);
   void grant_or_queue_lock(NodeCtx& c, NodeId n);
   void release_lock(Addr a, NodeId n, Cycle t);
@@ -323,9 +334,15 @@ class Machine {
   // --- fault handling (boundary side) --------------------------------------
   /// Backoff before retry number `attempt` (exponential, capped).
   [[nodiscard]] Cycle retry_backoff(std::uint32_t attempt) const;
-  /// Budget check for fire-and-forget retries that cannot park the node
-  /// (puts, post-stores, check-out ranges); unbounded specs are capped.
-  [[nodiscard]] bool inline_retry_exhausted(std::uint32_t attempt) const;
+  /// Retry loop for requests that cannot park the node (puts,
+  /// post-stores, check-out ranges): issues `issue(t)` for block b until
+  /// it is not dropped, advancing `t` to each retransmit time.  When the
+  /// budget (capped even if unbounded) runs out, the run aborts with
+  /// ProtocolTimeout ("<what> of block b lost k times") and the last
+  /// dropped result is returned; `t` stays at the last issue time.
+  template <class Issue>
+  proto::ServiceResult retry_inline(NodeId n, Block b, const char* what,
+                                    Cycle& t, Issue&& issue);
   /// put() retried until it lands; aborts with ProtocolTimeout on budget
   /// exhaustion.  The ONLY safe way to issue a put under fault injection:
   /// the cache line is already gone, so a silently lost put would leave

@@ -303,5 +303,65 @@ TEST(NodeMask, UnionHelpersIgnoreTrailingZeroSpill) {
   EXPECT_FALSE(u.any() && !a.any());
 }
 
+std::vector<std::uint32_t> members(const NodeMask& m) {
+  std::vector<std::uint32_t> out;
+  for (const std::uint32_t n : m) out.push_back(n);
+  return out;
+}
+
+TEST(NodeMask, IteratesAscendingAcrossTheInlineWord) {
+  // Dir1SW sends invalidations and post-store pushes in this order, so it
+  // must hold across the inline word and the spill.
+  NodeMask m;
+  EXPECT_TRUE(members(m).empty());
+  for (std::uint32_t n : {127U, 64U, 0U, 63U}) m.set(n);
+  EXPECT_EQ(members(m), (std::vector<std::uint32_t>{0, 63, 64, 127}));
+  EXPECT_EQ(m.lowest(), 0U);
+
+  NodeMask spilled_only;
+  spilled_only.set(127);
+  spilled_only.set(64);
+  EXPECT_EQ(members(spilled_only), (std::vector<std::uint32_t>{64, 127}));
+  EXPECT_EQ(spilled_only.lowest(), 64U);
+}
+
+TEST(NodeMask, ResetRemovesOneMemberAndLowestFollows) {
+  NodeMask m;
+  for (std::uint32_t n : {0U, 63U, 64U, 127U}) m.set(n);
+  m.reset(0);
+  EXPECT_EQ(m.lowest(), 63U);
+  m.reset(63);
+  EXPECT_EQ(m.lowest(), 64U);
+  m.reset(64);
+  EXPECT_EQ(m.lowest(), 127U);
+  EXPECT_TRUE(m.is_sole(127));
+  m.reset(127);
+  EXPECT_FALSE(m.any());
+  EXPECT_EQ(m.count(), 0);
+  EXPECT_TRUE(members(m).empty());
+  EXPECT_EQ(m, NodeMask{});  // zeroed spill words compare equal to none
+
+  m.reset(500);  // resetting a node beyond the spill is a no-op
+  m.reset(5);
+  EXPECT_FALSE(m.any());
+}
+
+TEST(NodeMask, ClearEmptiesASpilledMask) {
+  NodeMask m;
+  for (std::uint32_t n : {0U, 63U, 64U, 127U}) m.set(n);
+  m.clear();
+  EXPECT_FALSE(m.any());
+  EXPECT_EQ(m.count(), 0);
+  for (std::uint32_t n : {0U, 63U, 64U, 127U}) EXPECT_FALSE(m.test(n)) << n;
+  EXPECT_TRUE(members(m).empty());
+  EXPECT_EQ(m, NodeMask{});
+
+  // A cleared mask is fully reusable, spill included.
+  m.set(127);
+  m.set(1);
+  EXPECT_EQ(members(m), (std::vector<std::uint32_t>{1, 127}));
+  EXPECT_EQ(m.count(), 2);
+}
+
 }  // namespace
 }  // namespace cico::kern

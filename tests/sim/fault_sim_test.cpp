@@ -1,10 +1,13 @@
 // Fault-injection behaviour of the simulator: per-seed determinism on the
-// bundled apps, survival across seeds, watchdog and retry-budget aborts,
-// prefetch throttling, paranoid-mode audits, and the invariant that faults
-// perturb timing -- never data values.
+// bundled apps (with fingerprints pinned across commits), survival across
+// seeds, watchdog and retry-budget aborts (parked and inline retries),
+// reliable prefetch replies, prefetch throttling, paranoid-mode audits, and
+// the invariant that faults perturb timing -- never data values.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
+#include <string>
 #include <tuple>
 
 #include "apps/jacobi.hpp"
@@ -86,6 +89,43 @@ Fingerprint run_jacobi(const SimConfig& cfg) {
   return run_app(app, cfg);
 }
 
+// Faulted fingerprints pinned across commits, not only between two runs of
+// one build: a refactor of the retry or protocol paths that moves a single
+// retry, message or cycle fails here.  Stats are listed in Stat order.
+const Fingerprint kMatMulPin{
+    106537,
+    {28800, 15552, 1320, 432, 144, 76, 23, 53, 4993, 455, 829, 0, 0,
+     0,     0,     0,    0,   0,   16, 0,  0,  277619, 0, 55296, 0, 145,
+     56,    145,   0,    0,   885, 0,  0,  0,  0,      0, 0,     0, 0},
+    4993,
+    145,
+    56,
+    235,
+    1};
+
+const Fingerprint kJacobiPin{
+    43890,
+    {2048, 1376, 384, 280, 64, 239, 149, 175, 2271, 276, 109, 0, 0,
+     0,    0,    0,   0,   0,  48,  0,   0,   171715, 0, 2048, 0, 30,
+     23,   30,   0,   0,   317, 0,  0,   0,   0,      0, 0,    0, 0},
+    2271,
+    30,
+    23,
+    96,
+    5};
+
+void expect_fingerprint(const Fingerprint& got, const Fingerprint& want) {
+  EXPECT_EQ(got.time, want.time);
+  for (std::size_t i = 0; i < kStatCount; ++i) {
+    EXPECT_EQ(got.stats[i], want.stats[i]) << stat_name(static_cast<Stat>(i));
+  }
+  EXPECT_EQ(got.msgs, want.msgs);
+  EXPECT_EQ(got.drops, want.drops);
+  EXPECT_EQ(got.dups, want.dups);
+  EXPECT_EQ(got.delays, want.delays);
+  EXPECT_EQ(got.stalls, want.stalls);
+}
+
 TEST(FaultSimTest, SameSeedIsBitIdenticalOnMatMul) {
   SimConfig cfg = small_cfg(8, kMix);
   cfg.faults.seed = 42;
@@ -94,6 +134,7 @@ TEST(FaultSimTest, SameSeedIsBitIdenticalOnMatMul) {
   const Fingerprint b = run_matmul(cfg);
   EXPECT_GT(a.drops, 0u) << "mix injected nothing; test is vacuous";
   EXPECT_TRUE(a == b);
+  expect_fingerprint(a, kMatMulPin);
 }
 
 TEST(FaultSimTest, SameSeedIsBitIdenticalOnJacobi) {
@@ -104,6 +145,7 @@ TEST(FaultSimTest, SameSeedIsBitIdenticalOnJacobi) {
   const Fingerprint b = run_jacobi(cfg);
   EXPECT_GT(a.drops, 0u);
   EXPECT_TRUE(a == b);
+  expect_fingerprint(a, kJacobiPin);
 }
 
 TEST(FaultSimTest, DifferentSeedsDifferButAllComplete) {
@@ -157,6 +199,92 @@ TEST(FaultSimTest, ExhaustedRetryBudgetIsProtocolTimeout) {
         << e.what();
   }
   EXPECT_EQ(m.stats().total(Stat::Retries), 3u);
+}
+
+/// Runs `body` on a fresh Machine that must abort with ProtocolTimeout;
+/// returns the message and leaves the Retries total in `retries`.
+std::string timeout_of(const SimConfig& cfg,
+                       const std::function<void(Proc&, Addr)>& body,
+                       std::uint64_t& retries) {
+  Machine m(cfg);
+  const Addr a = m.heap().alloc(64, "A");
+  std::string what;
+  try {
+    m.run([&](Proc& p) { body(p, a); });
+    ADD_FAILURE() << "expected ProtocolTimeout";
+  } catch (const ProtocolTimeout& e) {
+    what = e.what();
+  }
+  retries = m.stats().total(Stat::Retries);
+  return what;
+}
+
+// Check-ins, post-stores and check-out ranges cannot park their node, so
+// a lost message is retried inline; each exhausts its budget with its own
+// message.  Only one message type is lost, so the access before lands.
+
+TEST(FaultSimTest, LostCheckInExhaustsInlineBudget) {
+  std::uint64_t retries = 0;
+  const std::string what = timeout_of(
+      small_cfg(2, "drop.directive=1.0,retries=3"),
+      [](Proc& p, Addr a) {
+        if (p.id() != 1) return;
+        p.ld(a, 8, 1);
+        p.check_in(a, 32);
+      },
+      retries);
+  EXPECT_EQ(what,
+            "node 1: check-in of block 128 lost 4 times; "
+            "retry budget exhausted at t=2766");
+  EXPECT_EQ(retries, 3u);
+}
+
+TEST(FaultSimTest, LostPostStoreExhaustsInlineBudget) {
+  std::uint64_t retries = 0;
+  const std::string what = timeout_of(
+      small_cfg(2, "drop.writeback=1.0,retries=2"),
+      [](Proc& p, Addr a) {
+        if (p.id() != 1) return;
+        p.st(a, 8, 1);
+        p.post_store(a, 32);
+      },
+      retries);
+  EXPECT_EQ(what,
+            "node 1: post-store of block 128 lost 3 times; "
+            "retry budget exhausted at t=1566");
+  EXPECT_EQ(retries, 2u);
+}
+
+TEST(FaultSimTest, LostCheckOutReplyExhaustsCappedInlineBudget) {
+  // retries=0 means unbounded, but an inline retry cannot park the node,
+  // so it is capped at 64.  The request lands and the reply is lost.
+  std::uint64_t retries = 0;
+  const std::string what = timeout_of(
+      small_cfg(2, "drop.data_reply=1.0,retries=0"),
+      [](Proc& p, Addr a) {
+        if (p.id() == 1) p.check_out_s(a, 64);
+      },
+      retries);
+  EXPECT_EQ(what,
+            "node 1: check-out of block 128 lost 65 times; "
+            "retry budget exhausted at t=264710");
+  EXPECT_EQ(retries, 64u);
+}
+
+TEST(FaultSimTest, PrefetchRepliesAreNeverLost) {
+  // Prefetches are never retried, so their reply leg is modelled reliable:
+  // losing every prefetch reply still fills the cache.
+  Machine m(small_cfg(2, "drop.prefetch_reply=1.0"));
+  const Addr a = m.heap().alloc(32, "A");
+  m.run([&](Proc& p) {
+    if (p.id() != 1) return;
+    p.prefetch_s(a, 32);
+    p.compute(1000);
+    p.ld(a, 8, 1);
+  });
+  EXPECT_EQ(m.stats().total(Stat::MsgDropped), 0u);
+  EXPECT_EQ(m.stats().total(Stat::PrefetchUseful), 1u);
+  EXPECT_EQ(m.stats().total(Stat::ReadMisses), 0u);
 }
 
 TEST(FaultSimTest, PrefetchEngineThrottlesAfterConsecutiveFailures) {
