@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <cstring>
 #include <poll.h>
+#include <pthread.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -52,6 +54,36 @@ io::Fd bind_unix_listener(const std::string& path) {
   }
   return fd;
 }
+
+/// Runs the calling thread under SCHED_BATCH while in scope, then restores
+/// its policy.  A fresh job is seconds of CPU-bound simulation; as a batch
+/// thread it yields the CPU to the sub-millisecond cache-hit replies of the
+/// other workers on a busy host.  Only a SCHED_OTHER thread is switched,
+/// and a refused switch leaves the policy as it was.
+class BatchScheduling {
+ public:
+  BatchScheduling() {
+#ifdef SCHED_BATCH
+    if (::pthread_getschedparam(::pthread_self(), &policy_, &param_) != 0 ||
+        policy_ != SCHED_OTHER) {
+      return;
+    }
+    const sched_param batch{};
+    active_ =
+        ::pthread_setschedparam(::pthread_self(), SCHED_BATCH, &batch) == 0;
+#endif
+  }
+  ~BatchScheduling() {
+    if (active_) ::pthread_setschedparam(::pthread_self(), policy_, &param_);
+  }
+  BatchScheduling(const BatchScheduling&) = delete;
+  BatchScheduling& operator=(const BatchScheduling&) = delete;
+
+ private:
+  bool active_ = false;
+  int policy_ = 0;
+  sched_param param_{};
+};
 
 /// A stalled-but-open client must not pin a worker forever on write(2);
 /// with a send timeout the blocked write fails (EAGAIN), write_frame
@@ -337,7 +369,11 @@ void Server::serve(const std::shared_ptr<Job>& job) {
     return;
   }
 
-  JobResult res = run_job(job->req, &job->cancel);
+  JobResult res;
+  {
+    const BatchScheduling batch;  // fresh jobs yield to cache hits
+    res = run_job(job->req, &job->cancel);
+  }
   res.key = key;
 
   if (res.cancelled) {

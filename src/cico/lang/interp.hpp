@@ -9,16 +9,16 @@
 // source annotator's output -- runs directly and its annotations act as
 // Dir1SW memory-system directives.
 //
-// Names are resolved once, at load time, in the same walk that interns
-// the PcIds: every Var, Private, For and scalar-Assign AST id gets a
-// frame slot (one per distinct scalar name), and every Index, array-Assign
-// and directive/lock target id gets its shared array.  A node's id is the
-// key, so clones that keep their id (the annotator's) must keep their name
-// too; the load checks that.  Run-time checks stay where they were: a Var
-// reads the node's value of its name -- the const of that name until the
-// node first writes it -- and fails with "unknown variable" when there is
-// neither; an unresolved array fails with "unknown shared array" only
-// when the statement executes.
+// The parallel body is compiled once, at load, into flat post-order op
+// code over a stack of doubles: every op carries its resolved frame slot,
+// shared array and PcId, `&&`/`||` are jumps, and a `Var +/- Number`
+// operand is one op.  Every node runs the same code on its own frame.
+// Run-time checks stay where the statements put them: a Var reads the
+// node's value of its name -- the const of that name until the node first
+// writes it -- and fails with "unknown variable" when there is neither;
+// an undeclared array fails with "unknown shared array" only when the
+// statement executes.  The load also checks that AST nodes sharing an id
+// (the annotator's clones) share a name, because the id keys their PcId.
 #pragma once
 
 #include <cstdint>
@@ -43,8 +43,8 @@ class InterpError : public std::runtime_error {
 class LoadedProgram {
  public:
   /// Evaluates const declarations, allocates every shared array on the
-  /// machine's heap, interns access-site PcIds.  The Program must outlive
-  /// the LoadedProgram.
+  /// machine's heap, interns access-site PcIds and compiles the parallel
+  /// body.  The Program is not referenced afterwards.
   LoadedProgram(const Program& src, sim::Machine& m);
 
   /// Per-node program body: pass to Machine::run.
@@ -73,9 +73,33 @@ class LoadedProgram {
     std::unique_ptr<double[]> data;  // one Machine, one host thread
   };
 
-  /// A node's scalars by frame slot.  `set` marks the slots written so
-  /// far; a const's slot starts written with the const's value, so a
-  /// private of the same name shadows it from its first write on.
+  /// Op codes.  Expressions push one value; statements leave the stack as
+  /// they found it.  A subscript that is not the last one of its access
+  /// is converted by an Index op right after it is evaluated, so its
+  /// range check runs before the next subscript (as written).
+  enum class Code : std::uint8_t {
+    Num, Pid, Nprocs, Var, VarAdd,
+    Neg, Not, Add, Sub, Mul, Div, Mod, Eq, Ne, Lt, Le, Gt, Ge, Min, Max,
+    And, Or, Bool,  // a && b:  a And(->end) b Bool end
+    Index, Dup, Span, Load, Load2,
+    Set, Store, Store2, Compute, Barrier, Lock, Unlock, Directive,
+    Jump, JumpIfZero, ForInit, ForNext, Fail, End,
+  };
+
+  struct Op {
+    Code code = Code::End;
+    std::uint32_t a = 0;  ///< frame slot, loop state or shared array
+    std::uint32_t b = 0;  ///< PcId, dimension, directive kind, var slot,
+                          ///< or failures_ index
+    std::uint32_t c = 0;  ///< jump target, or subscript/range count
+    int line = 0;         ///< source line of run-time errors
+    double k = 0;         ///< Num value, VarAdd addend
+  };
+
+  /// A node's scalars by frame slot, then three slots (value, limit,
+  /// step) per loop.  `set` marks the named slots written so far; a
+  /// const's slot starts written with the const's value, so a private of
+  /// the same name shadows it from its first write on.
   struct Frame {
     std::vector<double> vals;
     std::vector<std::uint8_t> set;
@@ -86,32 +110,18 @@ class LoadedProgram {
     }
   };
 
-  /// bind_ entry of an array-name node whose array is not declared.
-  static constexpr std::uint32_t kUnbound = ~std::uint32_t{0};
+  class Compiler;
 
   const ArrayInfo& array(std::string_view name, SrcLoc loc) const;
-  /// The shared array AST node `id` names; fails like array() when none.
-  const ArrayInfo& array_at(AstId id, const std::string& name,
-                            SrcLoc loc) const;
-  [[nodiscard]] Addr addr_of(const ArrayInfo& a, std::size_t i,
-                             std::size_t j, SrcLoc loc) const;
+  /// Throws the "unknown variable" error of a Var or VarAdd op.
+  [[noreturn]] void unknown_variable(const Op& op) const;
 
-  double eval(sim::Proc& p, Frame& f, const Expr& e);
-  void exec_block(sim::Proc& p, Frame& f,
-                  const std::vector<StmtPtr>& stmts);
-  void exec(sim::Proc& p, Frame& f, const Stmt& s);
-  void directive(sim::Proc& p, Frame& f, const Stmt& s);
-  [[nodiscard]] std::size_t index_of(double v, std::size_t extent,
-                                     SrcLoc loc) const;
-
-  const Program* prog_;
-  sim::Machine* machine_;
   std::unordered_map<std::string, double> consts_;
   std::vector<ArrayInfo> arrays_;  ///< declaration order
   std::unordered_map<std::string, std::uint32_t> array_of_;  ///< -> arrays_
-  /// Per AST id: a scalar-name node's frame slot, or an array-name node's
-  /// arrays_ index (kUnbound when no shared array has that name).
-  std::vector<std::uint32_t> bind_;
+  std::vector<Op> code_;  ///< the parallel body, ending in End
+  std::vector<std::string> slot_names_;  ///< "" for loop state
+  std::vector<std::string> failures_;    ///< Fail op messages
   Frame fresh_frame_;  ///< every node starts from a copy
   std::vector<PcId> pc_by_ast_;
   std::unordered_map<PcId, AstId> ast_by_pc_;

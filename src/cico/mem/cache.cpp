@@ -1,9 +1,30 @@
 #include "cico/mem/cache.hpp"
 
+#include <bit>
+#include <stdexcept>
+#include <string>
+
 namespace cico::mem {
 
+namespace {
+
+const CacheGeometry& checked(const CacheGeometry& g) {
+  if (!std::has_single_bit(g.block_bytes) || g.assoc == 0 ||
+      !std::has_single_bit(g.num_sets())) {
+    throw std::invalid_argument(
+        "cache geometry " + std::to_string(g.size_bytes) + "B/" +
+        std::to_string(g.assoc) + "-way/" + std::to_string(g.block_bytes) +
+        "B: block size and set count must be powers of two");
+  }
+  return g;
+}
+
+}  // namespace
+
 Cache::Cache(CacheGeometry g)
-    : geo_(g),
+    : geo_(checked(g)),
+      block_shift_(static_cast<unsigned>(std::countr_zero(g.block_bytes))),
+      set_mask_(g.num_sets() - 1),
       tags_(static_cast<std::size_t>(g.num_sets()) * g.assoc, 0),
       states_(static_cast<std::size_t>(g.num_sets()) * g.assoc,
               LineState::Invalid),
@@ -29,13 +50,13 @@ void Cache::to_mru(std::size_t base, std::size_t i) {
 }
 
 LineState Cache::state_of(Block b) const {
-  const std::size_t fill = fill_[geo_.set_of(b)];
+  const std::size_t fill = fill_[set_of(b)];
   const std::size_t i = way_of(b, fill);
   return i < fill ? states_[row(b) + i] : LineState::Invalid;
 }
 
 LineState Cache::access(Block b, bool write) {
-  const std::size_t fill = fill_[geo_.set_of(b)];
+  const std::size_t fill = fill_[set_of(b)];
   const std::size_t i = way_of(b, fill);
   if (i >= fill) return LineState::Invalid;
   const std::size_t base = row(b);
@@ -45,7 +66,7 @@ LineState Cache::access(Block b, bool write) {
 }
 
 std::optional<Cache::Eviction> Cache::insert(Block b, LineState s) {
-  const std::size_t set = geo_.set_of(b);
+  const std::size_t set = set_of(b);
   const std::size_t base = row(b);
   std::size_t fill = fill_[set];
   const std::size_t i = way_of(b, fill);
@@ -74,7 +95,7 @@ std::optional<Cache::Eviction> Cache::insert(Block b, LineState s) {
 }
 
 bool Cache::set_state(Block b, LineState s) {
-  const std::size_t fill = fill_[geo_.set_of(b)];
+  const std::size_t fill = fill_[set_of(b)];
   const std::size_t i = way_of(b, fill);
   if (i >= fill) return false;
   states_[row(b) + i] = s;
@@ -82,7 +103,7 @@ bool Cache::set_state(Block b, LineState s) {
 }
 
 LineState Cache::erase(Block b) {
-  const std::size_t set = geo_.set_of(b);
+  const std::size_t set = set_of(b);
   const std::size_t base = row(b);
   const std::size_t fill = fill_[set];
   const std::size_t i = way_of(b, fill);
@@ -95,24 +116,6 @@ LineState Cache::erase(Block b) {
   fill_[set] = static_cast<std::uint32_t>(fill - 1);
   --occupancy_;
   return s;
-}
-
-void Cache::flush(const std::function<void(Block, LineState)>& fn) {
-  for (std::size_t set = 0; set < fill_.size(); ++set) {
-    const std::size_t base = set * geo_.assoc;
-    const std::size_t fill = fill_[set];
-    for (std::size_t i = 0; i < fill; ++i) fn(tags_[base + i], states_[base + i]);
-    occupancy_ -= fill;
-    fill_[set] = 0;
-  }
-}
-
-void Cache::for_each(const std::function<void(Block, LineState)>& fn) const {
-  for (std::size_t set = 0; set < fill_.size(); ++set) {
-    const std::size_t base = set * geo_.assoc;
-    const std::size_t fill = fill_[set];
-    for (std::size_t i = 0; i < fill; ++i) fn(tags_[base + i], states_[base + i]);
-  }
 }
 
 }  // namespace cico::mem

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <system_error>
 #include <utility>
+#include <vector>
 
 #if defined(__SANITIZE_ADDRESS__)
 #define CICO_ASAN_FIBERS 1
@@ -79,10 +80,71 @@ namespace {
 // Reserved like a default host thread stack (8 MiB); MAP_NORESERVE means
 // only touched pages are ever committed.
 constexpr std::size_t kStackBytes = std::size_t{8} << 20;
+// Idle stacks one host thread keeps for its next fibers: enough for a
+// Machine of this many nodes to start without a system call.
+constexpr std::size_t kPooledStacks = 16;
 
-std::size_t page_bytes() {
-  const long p = ::sysconf(_SC_PAGESIZE);
-  return p > 0 ? static_cast<std::size_t>(p) : 4096;
+std::size_t guard_bytes() {
+  static const std::size_t p = [] {
+    const long b = ::sysconf(_SC_PAGESIZE);
+    return b > 0 ? static_cast<std::size_t>(b) : std::size_t{4096};
+  }();
+  return p;
+}
+
+/// This host thread's idle stacks (guard page + stack mappings), reused
+/// last in, first out.  A thread's fibers never run on another thread, so
+/// the pool needs no lock; it unmaps what it holds when the thread exits.
+class StackPool {
+ public:
+  StackPool() = default;
+  StackPool(const StackPool&) = delete;
+  StackPool& operator=(const StackPool&) = delete;
+  ~StackPool() {
+    for (void* m : idle_) ::munmap(m, guard_bytes() + kStackBytes);
+  }
+
+  /// An idle stack, or a fresh mapping whose lowest page is the guard.
+  void* take() {
+    if (!idle_.empty()) {
+      void* m = idle_.back();
+      idle_.pop_back();
+      return m;
+    }
+    const std::size_t guard = guard_bytes();
+    void* m = ::mmap(nullptr, guard + kStackBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                     -1, 0);
+    if (m == MAP_FAILED) {
+      throw std::system_error(errno, std::generic_category(), "fiber stack");
+    }
+    // Stacks grow down: an overflow runs into the guard page and faults
+    // instead of silently corrupting the neighbouring mapping.
+    if (::mprotect(m, guard, PROT_NONE) != 0) {
+      const int err = errno;
+      ::munmap(m, guard + kStackBytes);
+      throw std::system_error(err, std::generic_category(), "fiber guard page");
+    }
+    return m;
+  }
+
+  [[nodiscard]] std::size_t idle() const { return idle_.size(); }
+
+  void give(void* m) {
+    if (idle_.size() < kPooledStacks) {
+      idle_.push_back(m);
+    } else {
+      ::munmap(m, guard_bytes() + kStackBytes);
+    }
+  }
+
+ private:
+  std::vector<void*> idle_;
+};
+
+StackPool& stack_pool() {
+  thread_local StackPool pool;
+  return pool;
 }
 
 // ASan must be told before every switch which stack execution moves to, and
@@ -111,27 +173,12 @@ void after_switch(void* fake, const void** from_stack,
 
 }  // namespace
 
-Fiber::Fiber(std::function<void()> entry) : entry_(std::move(entry)) {
-  const std::size_t guard = page_bytes();
-  map_bytes_ = guard + kStackBytes;
-  map_ = ::mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
-                MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
-  if (map_ == MAP_FAILED) {
-    map_ = nullptr;
-    throw std::system_error(errno, std::generic_category(), "fiber stack");
-  }
-  // Stacks grow down: an overflow runs into the guard page and faults
-  // instead of silently corrupting the neighbouring mapping.
-  if (::mprotect(map_, guard, PROT_NONE) != 0) {
-    const int err = errno;
-    ::munmap(map_, map_bytes_);
-    map_ = nullptr;
-    throw std::system_error(err, std::generic_category(), "fiber guard page");
-  }
-  stack_lo_ = static_cast<char*>(map_) + guard;
+Fiber::Fiber(std::function<void()> entry)
+    : entry_(std::move(entry)), map_(stack_pool().take()) {
+  stack_lo_ = static_cast<char*>(map_) + guard_bytes();
 #ifdef CICO_ASAN_FIBERS
-  // The range may be a recycled mapping of an earlier fiber's stack whose
-  // frames ASan still has poisoned.
+  // A pooled stack still carries the poisoned frames of the fiber that
+  // used it last.
   __asan_unpoison_memory_region(stack_lo_, kStackBytes);
 #endif
 #ifdef CICO_FIBER_ASM
@@ -152,8 +199,7 @@ Fiber::Fiber(std::function<void()> entry) : entry_(std::move(entry)) {
 #else
   if (::getcontext(&self_) != 0) {
     const int err = errno;
-    ::munmap(map_, map_bytes_);
-    map_ = nullptr;
+    stack_pool().give(map_);
     throw std::system_error(err, std::generic_category(), "getcontext");
   }
   self_.uc_stack.ss_sp = stack_lo_;
@@ -174,8 +220,16 @@ Fiber::~Fiber() {
 #ifdef CICO_TSAN_FIBERS
   if (tsan_self_ != nullptr) __tsan_destroy_fiber(tsan_self_);
 #endif
-  if (map_ != nullptr) ::munmap(map_, map_bytes_);
+  // An unfinished fiber's stack still holds the frames it leaks; only a
+  // finished one is clean to run another fiber on.
+  if (finished_) {
+    stack_pool().give(map_);
+  } else {
+    ::munmap(map_, guard_bytes() + kStackBytes);
+  }
 }
+
+std::size_t Fiber::idle_stacks() { return stack_pool().idle(); }
 
 void Fiber::resume() {
   void* fake = nullptr;

@@ -1,9 +1,12 @@
 // Stackful fiber: one simulated node's program, run on the host thread that
 // resumes it.
 //
-// Each fiber owns a lazily committed mmap(MAP_NORESERVE) stack with a
+// Each fiber runs on a lazily committed mmap(MAP_NORESERVE) stack with a
 // PROT_NONE guard page below it, reserved as large as a default host
-// thread stack, so a run pays RSS only for the pages a node touches.
+// thread stack, so a run pays RSS only for the pages a node touches.  A
+// finished fiber's stack goes back to a small pool of its host thread and
+// carries the next fiber created there, so back-to-back runs map, protect,
+// unmap and first-touch no stack pages.
 // resume() and yield() are the only switch points; both carry the
 // AddressSanitizer / ThreadSanitizer fiber annotations, so sanitizer
 // builds see each fiber as its own stack and its own logical thread.
@@ -32,8 +35,9 @@ class Fiber {
   /// resume().  An exception escaping `entry` terminates the program.
   /// Throws std::system_error when the stack cannot be mapped.
   explicit Fiber(std::function<void()> entry);
-  /// Unmaps the stack.  A fiber destroyed before its entry returned leaks
-  /// the objects still live on its stack; callers run every fiber to the end.
+  /// Returns the stack to the host thread's pool.  A fiber destroyed before
+  /// its entry returned leaks the objects still live on its stack (whose
+  /// mapping is then unmapped); callers run every fiber to the end.
   ~Fiber();
 
   Fiber(const Fiber&) = delete;
@@ -45,6 +49,9 @@ class Fiber {
   void yield();
 
   [[nodiscard]] bool finished() const { return finished_; }
+
+  /// Idle stacks the calling host thread holds for its next fibers.
+  [[nodiscard]] static std::size_t idle_stacks();
 
  private:
   static void start(Fiber* f);
@@ -58,7 +65,6 @@ class Fiber {
 
   std::function<void()> entry_;
   void* map_ = nullptr;  ///< guard page + stack
-  std::size_t map_bytes_ = 0;
   char* stack_lo_ = nullptr;  ///< lowest usable stack byte
 #ifdef CICO_FIBER_ASM
   void* sp_ = nullptr;         ///< this fiber's stack pointer while suspended

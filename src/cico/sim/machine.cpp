@@ -252,7 +252,7 @@ void Machine::charge_prefetch_issue(NodeCtx& c, NodeId n, bool exclusive) {
 void Machine::access(NodeId n, Addr a, std::uint32_t size, bool write, PcId pc) {
   NodeCtx& c = *ctxs_[n];
   stats_.add(n, write ? Stat::SharedStores : Stat::SharedLoads);
-  const Block b = cfg_.cache.block_of(a);
+  const Block b = c.cache.block_of(a);
   const LineState ls = c.cache.access(b, write);
   const bool hit = ls == LineState::Exclusive || (!write && ls == LineState::Shared);
   if (hit) {
@@ -561,7 +561,7 @@ void Machine::insert_line(NodeCtx& c, NodeId n, Block b, LineState s, Cycle t) {
 }
 
 void Machine::service_mem(NodeCtx& c, NodeId n) {
-  const Block b = cfg_.cache.block_of(c.op_addr);
+  const Block b = c.cache.block_of(c.op_addr);
   Cycle t = c.op_time;
 
   // An in-flight prefetch of this block completes first.
@@ -780,25 +780,24 @@ void Machine::release_lock(Addr a, NodeId /*n*/, Cycle t) {
 
 bool Machine::try_complete_barrier() {
   if (aborted_) return false;
-  std::vector<NodeId> at_barrier;
+  at_barrier_.clear();
   std::uint32_t done = 0;
   for (NodeId n = 0; n < cfg_.nodes; ++n) {
-    if (ctxs_[n]->wait == NodeCtx::Wait::Barrier) at_barrier.push_back(n);
+    if (ctxs_[n]->wait == NodeCtx::Wait::Barrier) at_barrier_.push_back(n);
     else if (ctxs_[n]->wait == NodeCtx::Wait::Done) ++done;
   }
-  if (at_barrier.empty() ||
-      at_barrier.size() + done != cfg_.nodes) {
+  if (at_barrier_.empty() || at_barrier_.size() + done != cfg_.nodes) {
     return false;
   }
 
   // 1. Planned end-of-epoch check-ins.
-  for (NodeId n : at_barrier) apply_epoch_end(n, ctxs_[n]->epoch);
+  for (NodeId n : at_barrier_) apply_epoch_end(n, ctxs_[n]->epoch);
 
   // 2. Trace collection: barrier records, then the barrier cache flush of
   //    section 3.3 (only accesses that miss appear in the trace, so caches
   //    are emptied at every epoch boundary to expose reuse).
   if (tracer_ != nullptr) {
-    for (NodeId n : at_barrier) {
+    for (NodeId n : at_barrier_) {
       NodeCtx& c = *ctxs_[n];
       tracer_->record_barrier(n, c.barrier_pc, c.now, c.epoch);
       if (cfg_.trace_mode) {
@@ -823,21 +822,21 @@ bool Machine::try_complete_barrier() {
 
   // 3. Synchronize virtual times.
   Cycle t = 0;
-  for (NodeId n : at_barrier) t = std::max(t, ctxs_[n]->now);
+  for (NodeId n : at_barrier_) t = std::max(t, ctxs_[n]->now);
   t += cfg_.cost.barrier;
 
   // 3a. Observability: per-node barrier waits (arrival -> release) and the
   //     epoch's time-series row, flushed before the next epoch's planned
   //     directives execute.
   if (obs_ != nullptr) {
-    for (NodeId n : at_barrier) {
+    for (NodeId n : at_barrier_) {
       obs_->on_barrier_wait(n, ctxs_[n]->now, t, global_epoch_);
     }
     obs_->on_epoch_end(global_epoch_, t, stats_);
   }
 
   ++global_epoch_;
-  for (NodeId n : at_barrier) {
+  for (NodeId n : at_barrier_) {
     NodeCtx& c = *ctxs_[n];
     c.now = t;
     c.epoch = global_epoch_;
@@ -849,7 +848,7 @@ bool Machine::try_complete_barrier() {
   }
 
   // 4. Planned start-of-epoch check-outs / prefetches.
-  for (NodeId n : at_barrier) apply_epoch_start(n, global_epoch_);
+  for (NodeId n : at_barrier_) apply_epoch_start(n, global_epoch_);
   return true;
 }
 

@@ -379,6 +379,7 @@ class Machine {
   const std::atomic<bool>* cancel_ = nullptr;
 
   std::vector<Item> items_;  ///< per-round item buffer, reused across rounds
+  std::vector<NodeId> at_barrier_;  ///< try_complete_barrier's, reused too
 
   double host_total_sec_ = 0.0;
   double host_boundary_sec_ = 0.0;

@@ -49,11 +49,15 @@ const char* kRacyProgram =
     "  barrier;\n"
     "end\n";
 
+// About 3.5 s of simulation at -n 8 in a Release build on a 4-vCPU x86-64
+// VM (20,000 barrier rounds), so an 80 ms deadline always lands mid-run.
+// A cancelled job stops at its next boundary round, so the length costs
+// nothing here.
 const char* kSlowProgram =
     "const N = 64;\n"
     "shared real A[N];\n"
     "parallel\n"
-    "  for r = 1 to 400 do\n"
+    "  for r = 1 to 20000 do\n"
     "    for i = 0 to N - 1 do\n"
     "      A[pid] = A[pid] + 1;\n"
     "    od\n"
@@ -86,7 +90,9 @@ const Mix kMixes[] = {
 
 TEST(DaemonSoak, ConcurrentClientsFaultsDisconnectsAndDeadlines) {
   ServerOptions opt;
-  opt.socket_path = ::testing::TempDir() + "cachierd_soak.sock";
+  // Per-process path: concurrent runs of this binary never share a socket.
+  opt.socket_path = ::testing::TempDir() + "cachierd_soak_" +
+                    std::to_string(::getpid()) + ".sock";
   opt.workers = 4;
   opt.queue_limit = 16;
   opt.monitor_tick_ms = 10;
@@ -202,7 +208,7 @@ TEST(DaemonSoak, ConcurrentClientsFaultsDisconnectsAndDeadlines) {
       c.max_attempts = 20;
       try {
         const JobResult r = submit_job(c, req);
-        EXPECT_TRUE(r.cancelled) << "an 80ms deadline on a ~1.5s job";
+        EXPECT_TRUE(r.cancelled) << "an 80ms deadline on a ~3.5s job";
       } catch (const std::runtime_error& e) {
         // "deadline exceeded" surfaces as an error frame; that's the
         // expected shape when the server reports it that way.

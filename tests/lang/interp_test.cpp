@@ -314,6 +314,54 @@ TEST(InterpTest, UnknownNameMessagesCarryTheLine) {
             "unknown variable 'nope' (line 5)");
 }
 
+// --- Subscripts ----------------------------------------------------------
+// A whole-number subscript is used as is; any other value rounds half away
+// from zero and must land inside the extent.
+
+TEST(InterpTest, NonIntegralSubscriptsRoundHalfAwayFromZero) {
+  auto r = run(R"(
+    shared real A[4];
+    parallel
+      A[1.5] = 2;
+      A[2.5] = 3;
+      A[-0.4] = 7;
+      private x = A[1.5];
+      A[1] = x + 10;
+    end
+  )", 1);
+  EXPECT_DOUBLE_EQ(r.lp->value("A", 0), 7.0);   // -0.4 -> 0
+  EXPECT_DOUBLE_EQ(r.lp->value("A", 1), 12.0);  // read back through 1.5 -> 2
+  EXPECT_DOUBLE_EQ(r.lp->value("A", 2), 2.0);   // 1.5 -> 2
+  EXPECT_DOUBLE_EQ(r.lp->value("A", 3), 3.0);   // 2.5 -> 3
+}
+
+TEST(InterpTest, SubscriptsThatRoundOutOfRangeFail) {
+  for (const char* sub : {"-0.6", "0/0", "1/0", "-1/0", "3.5", "4"}) {
+    SCOPED_TRACE(sub);
+    const std::string head = "shared real A[4];\nparallel\n  ";
+    EXPECT_EQ(error_of(head + "A[" + sub + "] = 1;\nend"),
+              "array subscript out of range (line 3)");
+    EXPECT_EQ(error_of(head + "private x = A[" + sub + "];\nend"),
+              "array subscript out of range (line 3)");
+  }
+}
+
+TEST(InterpTest, FirstSubscriptRangeErrorBeatsSecondSubscriptName) {
+  // Each subscript is checked as soon as it is evaluated, so an
+  // out-of-range first subscript fails before the second one's unknown
+  // variable is read -- in loads, stores, locks and directives alike.
+  const std::string head = "shared real B[2, 2];\nparallel\n  ";
+  for (const char* stmt : {"private x = B[5, nope];", "B[5, nope] = 1;",
+                           "lock B[5, nope];", "check_in B[5, nope];"}) {
+    SCOPED_TRACE(stmt);
+    EXPECT_EQ(error_of(head + stmt + "\nend"),
+              "array subscript out of range (line 3)");
+  }
+  // In range, the second subscript's name is what fails.
+  EXPECT_EQ(error_of(head + "B[1, nope] = 1;\nend"),
+            "unknown variable 'nope' (line 3)");
+}
+
 /// Visits every expression reachable from a statement list, directive
 /// ranges included.
 void for_each_expr(const std::vector<StmtPtr>& stmts,

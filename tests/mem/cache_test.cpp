@@ -7,6 +7,7 @@
 #include <list>
 #include <optional>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,6 +43,30 @@ TEST(CacheGeometryTest, BlockArithmetic) {
   EXPECT_EQ(g.last_block(0, 32), 0u);
   EXPECT_EQ(g.last_block(0, 33), 1u);
   EXPECT_EQ(g.last_block(30, 4), 1u);  // straddles a block boundary
+}
+
+TEST(CacheTest, RejectsGeometriesItCannotIndexByMask) {
+  // A lookup indexes by shift and mask, so a set count or block size
+  // that is not a power of two is refused at construction.
+  CacheGeometry three_sets = small_geo();
+  three_sets.size_bytes = 6 * 32;  // 6 blocks, 2-way: 3 sets
+  ASSERT_EQ(three_sets.num_sets(), 3u);
+  EXPECT_THROW(Cache{three_sets}, std::invalid_argument);
+  CacheGeometry three_way;  // 256 KB, 3-way: 2730 sets
+  three_way.assoc = 3;
+  EXPECT_THROW(Cache{three_way}, std::invalid_argument);
+  CacheGeometry odd_block = small_geo();
+  odd_block.block_bytes = 24;
+  EXPECT_THROW(Cache{odd_block}, std::invalid_argument);
+  CacheGeometry no_ways = small_geo();
+  no_ways.assoc = 0;
+  EXPECT_THROW(Cache{no_ways}, std::invalid_argument);
+  // The associativity itself need not be a power of two.
+  CacheGeometry ok = small_geo();
+  ok.assoc = 3;
+  ok.size_bytes = 4 * 3 * 32;  // 4 sets
+  Cache c(ok);
+  EXPECT_EQ(c.block_of(ok.base_of(13) + 5), 13u);
 }
 
 TEST(CacheTest, InsertAndLookup) {
@@ -262,58 +287,64 @@ std::vector<ListLru::Line> resident(const Cache& c) {
 }
 
 /// Differential: seeded random operation sequences against the list model
-/// at several associativities, including ones that leave sets partly
-/// filled and rows that are not a multiple of four ways.
+/// (which picks a set by modulo) at several associativities and set
+/// counts, including ones that leave sets partly filled and rows that are
+/// not a multiple of four ways.
 TEST(CacheTest, MatchesListLruModel) {
-  for (const std::uint32_t assoc : {1U, 2U, 3U, 4U, 8U}) {
-    for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
-      SCOPED_TRACE("assoc " + std::to_string(assoc) + " seed " +
-                   std::to_string(seed));
-      CacheGeometry g;
-      g.block_bytes = 32;
-      g.assoc = assoc;
-      g.size_bytes = 4 * assoc * g.block_bytes;  // 4 sets
-      Cache c(g);
-      ListLru ref(g);
-      std::mt19937_64 rng(seed * 1000 + assoc);
-      // Each set sees assoc + 3 distinct blocks, block 0 included (tag 0
-      // is also the value of unfilled ways).
-      const std::uint64_t span = 4ULL * (assoc + 3);
-      const auto state = [&] {
-        return rng() % 2 == 0 ? LineState::Shared : LineState::Exclusive;
-      };
-      for (int step = 0; step < 4000; ++step) {
-        const Block b = rng() % span;
-        const std::uint64_t op = rng() % 100;
-        if (op < 35) {
-          const LineState s = state();
-          const auto got = c.insert(b, s);
-          const auto want = ref.insert(b, s);
-          ASSERT_EQ(got.has_value(), want.has_value()) << "insert " << b;
-          if (got) {
-            EXPECT_EQ(got->block, want->first) << "victim of " << b;
-            EXPECT_EQ(got->state, want->second) << "victim of " << b;
+  for (const std::uint32_t sets : {1U, 4U, 16U}) {
+    for (const std::uint32_t assoc : {1U, 2U, 3U, 4U, 8U}) {
+      for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+        SCOPED_TRACE("sets " + std::to_string(sets) + " assoc " +
+                     std::to_string(assoc) + " seed " + std::to_string(seed));
+        CacheGeometry g;
+        g.block_bytes = 32;
+        g.assoc = assoc;
+        g.size_bytes = sets * assoc * g.block_bytes;
+        Cache c(g);
+        ListLru ref(g);
+        std::mt19937_64 rng(seed * 1000 + assoc);
+        // Each set sees assoc + 3 distinct blocks, block 0 included (tag 0
+        // is also the value of unfilled ways).
+        const std::uint64_t span = std::uint64_t{sets} * (assoc + 3);
+        const auto state = [&] {
+          return rng() % 2 == 0 ? LineState::Shared : LineState::Exclusive;
+        };
+        for (int step = 0; step < 4000; ++step) {
+          const Block b = rng() % span;
+          const std::uint64_t op = rng() % 100;
+          if (op < 35) {
+            const LineState s = state();
+            const auto got = c.insert(b, s);
+            const auto want = ref.insert(b, s);
+            ASSERT_EQ(got.has_value(), want.has_value()) << "insert " << b;
+            if (got) {
+              EXPECT_EQ(got->block, want->first) << "victim of " << b;
+              EXPECT_EQ(got->state, want->second) << "victim of " << b;
+            }
+          } else if (op < 75) {
+            const bool write = op >= 55;
+            ASSERT_EQ(c.access(b, write), ref.access(b, write))
+                << "access " << b;
+          } else if (op < 87) {
+            ASSERT_EQ(c.erase(b), ref.erase(b)) << "erase " << b;
+          } else if (op < 97) {
+            const LineState s = state();
+            ASSERT_EQ(c.set_state(b, s), ref.set_state(b, s))
+                << "set_state " << b;
+          } else {
+            std::vector<ListLru::Line> flushed;
+            c.flush([&](Block fb, LineState fs) {
+              flushed.emplace_back(fb, fs);
+            });
+            ASSERT_EQ(flushed, ref.lines()) << "flush";
+            ref.clear();
           }
-        } else if (op < 75) {
-          const bool write = op >= 55;
-          ASSERT_EQ(c.access(b, write), ref.access(b, write))
-              << "access " << b;
-        } else if (op < 87) {
-          ASSERT_EQ(c.erase(b), ref.erase(b)) << "erase " << b;
-        } else if (op < 97) {
-          const LineState s = state();
-          ASSERT_EQ(c.set_state(b, s), ref.set_state(b, s))
-              << "set_state " << b;
-        } else {
-          std::vector<ListLru::Line> flushed;
-          c.flush([&](Block fb, LineState fs) { flushed.emplace_back(fb, fs); });
-          ASSERT_EQ(flushed, ref.lines()) << "flush";
-          ref.clear();
+          const Block probe = rng() % span;
+          ASSERT_EQ(c.state_of(probe), ref.state_of(probe))
+              << "probe " << probe;
+          ASSERT_EQ(c.occupancy(), ref.occupancy()) << "step " << step;
+          ASSERT_EQ(resident(c), ref.lines()) << "step " << step;
         }
-        const Block probe = rng() % span;
-        ASSERT_EQ(c.state_of(probe), ref.state_of(probe)) << "probe " << probe;
-        ASSERT_EQ(c.occupancy(), ref.occupancy()) << "step " << step;
-        ASSERT_EQ(resident(c), ref.lines()) << "step " << step;
       }
     }
   }

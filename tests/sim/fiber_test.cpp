@@ -142,6 +142,46 @@ TEST(FiberTest, AbortUnwindsEveryParkedFiber) {
   }
 }
 
+TEST(FiberTest, NextRunReusesTheStacksOfAnAbortedRun) {
+  // Finished fibers hand their stacks to the host thread's pool, aborted
+  // runs included (every parked body unwinds first).  The next Machine on
+  // the thread takes every node's stack from that pool and computes the
+  // right answer on them.
+  std::size_t after_abort = 0;
+  std::vector<std::size_t> idle_while_running;
+  std::size_t after_run = 0;
+  bool answer_ok = false;
+  std::thread host([&] {  // a fresh pool
+    {
+      Machine m(small_cfg(4));
+      const Addr lk = m.heap().alloc(32, "L");
+      EXPECT_THROW(m.run([&](Proc& p) {
+                     if (p.id() == 1) p.compute(10);
+                     p.lock(lk);
+                     p.barrier();
+                     p.unlock(lk);
+                   }),
+                   SimDeadlock);
+    }
+    after_abort = Fiber::idle_stacks();
+    Machine m(small_cfg(4));
+    SharedArray<std::uint64_t> out(m, "OUT", 4);
+    m.run([&](Proc& p) {
+      idle_while_running.push_back(Fiber::idle_stacks());
+      out.st(p, p.id(), p.id() + 1, kNoPc);
+      p.barrier();
+    });
+    after_run = Fiber::idle_stacks();
+    answer_ok = true;
+    for (NodeId n = 0; n < 4; ++n) answer_ok = answer_ok && out.raw(n) == n + 1;
+  });
+  host.join();
+  EXPECT_EQ(after_abort, 4u);
+  EXPECT_EQ(idle_while_running, std::vector<std::size_t>(4, 0));
+  EXPECT_EQ(after_run, 4u);
+  EXPECT_TRUE(answer_ok);
+}
+
 TEST(FiberTest, ZeroQuantumAbortsInsteadOfHanging) {
   // With a zero-cycle window no parked node is ever resumable again; the
   // scheduler must abort and unwind rather than spin or strand fibers.
@@ -152,9 +192,9 @@ TEST(FiberTest, ZeroQuantumAbortsInsteadOfHanging) {
 }
 
 TEST(FiberTest, DeeplyNestedMiniParRunsOnAFiber) {
-  // Each nesting level costs the interpreter a few frames on the node's
-  // fiber stack: this depth overflows a 64 KiB coroutine-sized stack, yet
-  // still parses on the main thread of a sanitizer build.
+  // Deep nesting costs the parser and the load-time compiler a few frames
+  // per level on the host thread; the compiled body runs flat on each
+  // node's fiber.
   constexpr int kDepth = 1000;
   std::string src = "shared real A[4];\nparallel\n";
   for (int d = 0; d < kDepth; ++d) src += "if pid >= 0 then\n";
