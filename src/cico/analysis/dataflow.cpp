@@ -1,6 +1,6 @@
 #include "cico/analysis/dataflow.hpp"
 
-#include <algorithm>
+#include <utility>
 
 namespace cico::analysis {
 
@@ -12,7 +12,6 @@ CfgInfo::CfgInfo(const lang::Cfg& c) : cfg(&c) {
   const auto& blocks = c.blocks();
   const std::size_t n = blocks.size();
   rpo_pos.assign(n, kUnreachable);
-  is_header.assign(n, false);
 
   // Iterative postorder DFS from the entry block.
   std::vector<std::uint32_t> post;
@@ -40,68 +39,6 @@ CfgInfo::CfgInfo(const lang::Cfg& c) : cfg(&c) {
 
   for (std::uint32_t b : rpo) {
     if (blocks[b].succ.empty()) exits.push_back(b);
-    // A retreating edge goes from a later rpo position to an earlier one.
-    for (std::uint32_t s : blocks[b].succ) {
-      if (reachable(s) && rpo_pos[s] <= rpo_pos[b]) is_header[s] = true;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Dominators (Cooper-Harvey-Kennedy iterative algorithm)
-// ---------------------------------------------------------------------------
-
-Dominators::Dominators(const lang::Cfg& cfg, const CfgInfo& info)
-    : info_(&info) {
-  const auto& blocks = cfg.blocks();
-  idom_.assign(blocks.size(), kNone);
-  const std::uint32_t entry = cfg.entry();
-  idom_[entry] = entry;
-
-  const auto intersect = [&](std::uint32_t a, std::uint32_t b) {
-    while (a != b) {
-      while (info.rpo_pos[a] > info.rpo_pos[b]) a = idom_[a];
-      while (info.rpo_pos[b] > info.rpo_pos[a]) b = idom_[b];
-    }
-    return a;
-  };
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::uint32_t b : info.rpo) {
-      if (b == entry) continue;
-      std::uint32_t new_idom = kNone;
-      for (std::uint32_t p : blocks[b].pred) {
-        if (!info.reachable(p) || idom_[p] == kNone) continue;
-        new_idom = new_idom == kNone ? p : intersect(p, new_idom);
-      }
-      if (new_idom != kNone && idom_[b] != new_idom) {
-        idom_[b] = new_idom;
-        changed = true;
-      }
-    }
-  }
-
-  for (std::uint32_t b : info.rpo) {
-    for (std::uint32_t s : blocks[b].succ) {
-      if (!info.reachable(s) || info.rpo_pos[s] > info.rpo_pos[b]) continue;
-      if (dominates(s, b)) {
-        back_edges_.emplace_back(b, s);
-      } else {
-        reducible_ = false;  // retreating but not a back edge
-      }
-    }
-  }
-}
-
-bool Dominators::dominates(std::uint32_t a, std::uint32_t b) const {
-  if (!info_->reachable(a) || !info_->reachable(b)) return false;
-  while (true) {
-    if (b == a) return true;
-    const std::uint32_t up = idom_[b];
-    if (up == b || up == kNone) return false;
-    b = up;
   }
 }
 
@@ -187,170 +124,6 @@ std::vector<SharedAccess> shared_accesses(const lang::Stmt& s,
       break;  // decls, barriers, directives, lock/unlock: no data accesses
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// ReachingDefs
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Scalar definition target of a statement, or empty.
-std::string_view scalar_def(const lang::Stmt& s) {
-  switch (s.kind) {
-    case lang::StmtKind::Private:
-    case lang::StmtKind::ConstDecl:
-      return s.name;
-    case lang::StmtKind::Assign:
-      return s.subs.empty() ? std::string_view(s.name) : std::string_view();
-    case lang::StmtKind::For:
-      return s.name;  // the loop variable
-    default:
-      return {};
-  }
-}
-
-struct ReachingDomain {
-  // State: per-variable set of defining statement ids.
-  using State = std::vector<std::set<lang::AstId>>;
-
-  const lang::Cfg* cfg;
-  const StmtIndex* stmts;
-  const std::vector<std::string>* vars;
-
-  [[nodiscard]] State init() const { return State(vars->size()); }
-  [[nodiscard]] State boundary() const { return State(vars->size()); }
-
-  bool join(State& into, const State& from) const {
-    bool grew = false;
-    for (std::size_t v = 0; v < into.size(); ++v) {
-      for (lang::AstId d : from[v]) grew |= into[v].insert(d).second;
-    }
-    return grew;
-  }
-  bool widen(State& into, const State& from) const { return join(into, from); }
-
-  [[nodiscard]] int var_index(std::string_view name) const {
-    auto it = std::find(vars->begin(), vars->end(), name);
-    return it == vars->end() ? -1 : static_cast<int>(it - vars->begin());
-  }
-
-  void transfer(std::uint32_t block, State& st) const {
-    for (lang::AstId id : cfg->blocks()[block].stmts) {
-      const lang::Stmt* s = stmts->stmt(id);
-      if (s == nullptr) continue;
-      const std::string_view def = scalar_def(*s);
-      if (def.empty()) continue;
-      const int v = var_index(def);
-      if (v < 0) continue;
-      st[v].clear();
-      st[v].insert(id);
-    }
-  }
-};
-
-}  // namespace
-
-ReachingDefs::ReachingDefs(const lang::Program& p, const lang::Cfg& cfg,
-                           const CfgInfo& info) {
-  StmtIndex stmts(p);
-  // Collect scalar variables in first-definition order (decls then body).
-  const auto note = [&](std::string_view name) {
-    if (!name.empty() &&
-        std::find(vars_.begin(), vars_.end(), name) == vars_.end()) {
-      vars_.emplace_back(name);
-    }
-  };
-  for (const auto& d : p.decls) note(scalar_def(*d));
-  std::vector<const std::vector<lang::StmtPtr>*> todo = {&p.body};
-  while (!todo.empty()) {
-    const auto* seq = todo.back();
-    todo.pop_back();
-    for (const auto& sp : *seq) {
-      note(scalar_def(*sp));
-      if (!sp->body.empty()) todo.push_back(&sp->body);
-      if (!sp->else_body.empty()) todo.push_back(&sp->else_body);
-    }
-  }
-
-  ReachingDomain dom{&cfg, &stmts, &vars_};
-  auto sol = solve(info, dom, Direction::Forward);
-  in_.resize(cfg.blocks().size());
-  for (std::size_t b = 0; b < in_.size(); ++b) {
-    in_[b] = std::move(sol.in[b]);
-    in_[b].resize(vars_.size());
-  }
-}
-
-const std::set<lang::AstId>& ReachingDefs::reaching_in(
-    std::uint32_t block, std::string_view var) const {
-  auto it = std::find(vars_.begin(), vars_.end(), var);
-  if (it == vars_.end() || block >= in_.size()) return empty_;
-  return in_[block][static_cast<std::size_t>(it - vars_.begin())];
-}
-
-// ---------------------------------------------------------------------------
-// LiveSharedArrays
-// ---------------------------------------------------------------------------
-
-namespace {
-
-struct LivenessDomain {
-  using State = std::vector<bool>;
-
-  const lang::Cfg* cfg;
-  const StmtIndex* stmts;
-  const SharedArrays* arrays;
-
-  [[nodiscard]] State init() const { return State(arrays->size(), false); }
-  [[nodiscard]] State boundary() const { return init(); }
-
-  bool join(State& into, const State& from) const {
-    bool grew = false;
-    for (std::size_t i = 0; i < into.size(); ++i) {
-      if (from[i] && !into[i]) {
-        into[i] = true;
-        grew = true;
-      }
-    }
-    return grew;
-  }
-  bool widen(State& into, const State& from) const { return join(into, from); }
-
-  void transfer(std::uint32_t block, State& st) const {
-    const auto& ids = cfg->blocks()[block].stmts;
-    for (auto it = ids.rbegin(); it != ids.rend(); ++it) {
-      const lang::Stmt* s = stmts->stmt(*it);
-      if (s == nullptr) continue;
-      if (s->kind == lang::StmtKind::Barrier) {
-        std::fill(st.begin(), st.end(), false);  // liveness is per-epoch
-        continue;
-      }
-      for (const SharedAccess& a : shared_accesses(*s, *arrays)) {
-        st[a.array] = true;
-      }
-    }
-  }
-};
-
-}  // namespace
-
-LiveSharedArrays::LiveSharedArrays(const lang::Program& p,
-                                   const lang::Cfg& cfg, const CfgInfo& info)
-    : arrays_(p) {
-  StmtIndex stmts(p);
-  LivenessDomain dom{&cfg, &stmts, &arrays_};
-  auto sol = solve(info, dom, Direction::Backward);
-  in_.resize(cfg.blocks().size());
-  for (std::size_t b = 0; b < in_.size(); ++b) {
-    // Backward "out" is the state at block entry.
-    in_[b] = std::move(sol.out[b]);
-    in_[b].resize(arrays_.size(), false);
-  }
-}
-
-bool LiveSharedArrays::live_in(std::uint32_t block, std::uint32_t array) const {
-  return block < in_.size() && array < in_[block].size() && in_[block][array];
 }
 
 }  // namespace cico::analysis

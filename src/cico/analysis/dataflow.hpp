@@ -1,18 +1,11 @@
 // Reusable dataflow framework over the MiniPar control-flow graph.
 //
-// The CICO typestate linter (typestate.hpp) and a pair of classic base
-// analyses (reaching definitions, live shared arrays) are all built on the
-// same pieces:
+// The CICO typestate linter (typestate.hpp) is built on these pieces:
 //
 //   * CfgInfo      -- derived graph structure: reverse postorder, exit
-//                     blocks, reachability, loop headers (retreating-edge
-//                     targets);
-//   * Dominators   -- iterative dominator tree (Cooper-Harvey-Kennedy),
-//                     back edges and a reducibility check;
+//                     blocks, reachability;
 //   * solve()      -- a direction-agnostic worklist solver parameterised
-//                     by a Domain (lattice + transfer), with optional
-//                     loop-aware widening at header blocks so
-//                     infinite-height domains still terminate;
+//                     by a Domain (finite lattice + transfer);
 //   * StmtIndex / SharedArrays / shared_accesses() -- statement lookup and
 //     shared-array access extraction shared by every client.
 //
@@ -23,7 +16,6 @@
 //     State init() const;                            // bottom
 //     State boundary() const;                        // entry/exit value
 //     bool  join(State& into, const State& from) const;   // true if grew
-//     bool  widen(State& into, const State& from) const;  // >= join
 //     void  transfer(std::uint32_t block, State& s) const;
 //   };
 //
@@ -33,11 +25,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <set>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "cico/lang/cfg.hpp"
@@ -59,41 +49,12 @@ struct CfgInfo {
   std::vector<std::uint32_t> rpo_pos;
   /// Reachable blocks with no successors (backward-analysis boundary).
   std::vector<std::uint32_t> exits;
-  /// Targets of retreating edges (loop headers in a reducible graph).
-  std::vector<bool> is_header;
 
   static constexpr std::uint32_t kUnreachable = 0xffffffffu;
 
   [[nodiscard]] bool reachable(std::uint32_t b) const {
     return b < rpo_pos.size() && rpo_pos[b] != kUnreachable;
   }
-};
-
-/// Immediate dominators over the reachable subgraph.
-class Dominators {
- public:
-  Dominators(const lang::Cfg& cfg, const CfgInfo& info);
-
-  static constexpr std::uint32_t kNone = 0xffffffffu;
-
-  /// Immediate dominator; entry's idom is itself, kNone for unreachable.
-  [[nodiscard]] std::uint32_t idom(std::uint32_t b) const { return idom_[b]; }
-  /// Reflexive dominance over reachable blocks.
-  [[nodiscard]] bool dominates(std::uint32_t a, std::uint32_t b) const;
-  /// Edges tail->header whose header dominates the tail.
-  [[nodiscard]] const std::vector<std::pair<std::uint32_t, std::uint32_t>>&
-  back_edges() const {
-    return back_edges_;
-  }
-  /// True when every retreating edge is a back edge (structured MiniPar
-  /// CFGs always are; the typestate checker relies on it).
-  [[nodiscard]] bool is_reducible() const { return reducible_; }
-
- private:
-  const CfgInfo* info_;
-  std::vector<std::uint32_t> idom_;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> back_edges_;
-  bool reducible_ = true;
 };
 
 // ---------------------------------------------------------------------------
@@ -111,15 +72,10 @@ struct Solution {
   std::vector<typename Domain::State> out;
 };
 
-/// Iterates to a fixpoint.  When `widen_after` > 0, a header block whose
-/// input has been recomputed more than `widen_after` times is widened
-/// (Domain::widen) instead of joined -- domains with infinite ascending
-/// chains (intervals, counters) terminate, finite domains are unaffected
-/// if their widen() equals join().
+/// Iterates to a fixpoint (the domain's lattice must be finite).
 template <class Domain>
 Solution<Domain> solve(const CfgInfo& info, const Domain& dom,
-                       Direction dir = Direction::Forward,
-                       int widen_after = 0) {
+                       Direction dir = Direction::Forward) {
   const auto& blocks = info.cfg->blocks();
   const std::size_t n = blocks.size();
   Solution<Domain> sol;
@@ -160,11 +116,7 @@ Solution<Domain> solve(const CfgInfo& info, const Domain& dom,
     for (std::uint32_t p : inputs(b)) dom.join(newin, sol.out[p]);
 
     ++visits[b];
-    const bool widen = widen_after > 0 && info.is_header[b] &&
-                       visits[b] > static_cast<std::uint32_t>(widen_after);
-    const bool in_changed = widen ? dom.widen(sol.in[b], newin)
-                                  : dom.join(sol.in[b], newin);
-    if (!in_changed && visits[b] > 1) continue;
+    if (!dom.join(sol.in[b], newin) && visits[b] > 1) continue;
 
     typename Domain::State o = sol.in[b];
     dom.transfer(b, o);
@@ -213,44 +165,5 @@ struct SharedAccess {
 /// statements report their own accesses in their own blocks).
 [[nodiscard]] std::vector<SharedAccess> shared_accesses(
     const lang::Stmt& s, const SharedArrays& arrays);
-
-// ---------------------------------------------------------------------------
-// Base analyses
-// ---------------------------------------------------------------------------
-
-/// Classic reaching definitions for scalar (private / loop / const)
-/// variables: which assignments may reach each block entry.
-class ReachingDefs {
- public:
-  ReachingDefs(const lang::Program& p, const lang::Cfg& cfg,
-               const CfgInfo& info);
-  /// Definition statements of `var` that may reach the entry of `block`
-  /// (empty set when the variable is unknown or nothing reaches).
-  [[nodiscard]] const std::set<lang::AstId>& reaching_in(
-      std::uint32_t block, std::string_view var) const;
-  [[nodiscard]] const std::vector<std::string>& vars() const { return vars_; }
-
- private:
-  std::vector<std::string> vars_;
-  std::vector<std::vector<std::set<lang::AstId>>> in_;  // [block][var]
-  std::set<lang::AstId> empty_;
-};
-
-/// Backward may-liveness of shared arrays within an epoch: an array is
-/// live at a point when some path reaches a shared access of it before
-/// the next barrier (barriers kill all liveness -- epochs are the paper's
-/// unit of annotation).
-class LiveSharedArrays {
- public:
-  LiveSharedArrays(const lang::Program& p, const lang::Cfg& cfg,
-                   const CfgInfo& info);
-  /// Is `array` (SharedArrays index) live at the entry of `block`?
-  [[nodiscard]] bool live_in(std::uint32_t block, std::uint32_t array) const;
-  [[nodiscard]] const SharedArrays& arrays() const { return arrays_; }
-
- private:
-  SharedArrays arrays_;
-  std::vector<std::vector<bool>> in_;  // [block][array]
-};
 
 }  // namespace cico::analysis

@@ -90,7 +90,6 @@ struct TypestateDomain {
     }
     return changed;
   }
-  bool widen(State& into, const State& from) const { return join(into, from); }
 
   /// One statement's effect -- shared by the solver and the diagnostic
   /// replay, so the replay sees exactly the solver's states.
@@ -190,7 +189,6 @@ struct EpochDomain {
     }
     return changed;
   }
-  bool widen(State& into, const State& from) const { return join(into, from); }
 
   /// Reverse effect of one statement (state flows from after to before).
   void apply(const Stmt& s, State& st) const {
@@ -292,7 +290,7 @@ bool contains_name(const std::vector<std::string>& names,
 // lint()
 // ---------------------------------------------------------------------------
 
-LintResult lint(const lang::Program& program, const LintOptions& opts) {
+LintResult lint(const lang::Program& program) {
   LintResult result;
   const lang::Cfg cfg(program);
   const CfgInfo info(cfg);
@@ -355,10 +353,10 @@ LintResult lint(const lang::Program& program, const LintOptions& opts) {
   }
 
   const TypestateDomain fwd{&cfg, &stmts, &arrays, &rid_of_stmt};
-  const auto fsol = solve(info, fwd, Direction::Forward, opts.widen_after);
+  const auto fsol = solve(info, fwd, Direction::Forward);
 
   const EpochDomain bwd{&cfg, &stmts, &arrays};
-  const auto bsol = solve(info, bwd, Direction::Backward, opts.widen_after);
+  const auto bsol = solve(info, bwd, Direction::Backward);
 
   const auto emit = [&](Rule rule, Severity sev, lang::SrcLoc loc,
                         const std::string& array, std::string msg,

@@ -22,15 +22,8 @@
 
 namespace cico::analysis {
 
-struct LintOptions {
-  /// Loop headers switch from join to widening after this many visits
-  /// (the typestate lattice is finite, so this only bounds solver work).
-  int widen_after = 4;
-};
-
 /// Runs every CICO rule over the program; diagnostics come back in the
 /// deterministic (line, col, rule, array, message) order.
-[[nodiscard]] LintResult lint(const lang::Program& program,
-                              const LintOptions& opts = {});
+[[nodiscard]] LintResult lint(const lang::Program& program);
 
 }  // namespace cico::analysis

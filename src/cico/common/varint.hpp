@@ -1,5 +1,6 @@
 // Canonical unsigned LEB128 varints for the epoch-chunked v2 trace format
-// (store/format.cpp).
+// (store/format.cpp), written by appending to a std::string and read by
+// a cursor over a std::string_view -- the codec works on whole buffers.
 //
 // Content-addressing is only sound if equal values encode to equal bytes
 // and vice versa, so the reader enforces both canonicality properties:
@@ -15,35 +16,36 @@
 // which is what makes per-chunk content hashes stable across writers.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <istream>
 #include <limits>
-#include <ostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace cico::common {
 
-/// Writes v as minimal-length unsigned LEB128 (1..10 bytes).
-inline void put_varint(std::ostream& os, std::uint64_t v) {
+/// Appends v to `out` as minimal-length unsigned LEB128 (1..10 bytes).
+inline void put_varint(std::string& out, std::uint64_t v) {
   while (v >= 0x80) {
-    os.put(static_cast<char>((v & 0x7f) | 0x80));
+    out.push_back(static_cast<char>((v & 0x7f) | 0x80));
     v >>= 7;
   }
-  os.put(static_cast<char>(v));
+  out.push_back(static_cast<char>(v));
 }
 
-/// Reads one canonical unsigned LEB128 varint.  Throws std::runtime_error
-/// (message prefixed with `ctx`) on truncation, a non-minimal encoding,
-/// or overflow past 64 bits.
-inline std::uint64_t get_varint(std::istream& is, const char* ctx = "varint") {
+/// Reads one canonical unsigned LEB128 varint at `in[pos]` and advances
+/// `pos` past it.  Throws std::runtime_error (message prefixed with
+/// `ctx`) on truncation, a non-minimal encoding, or overflow past 64 bits.
+inline std::uint64_t get_varint(std::string_view in, std::size_t& pos,
+                                const char* ctx = "varint") {
   std::uint64_t v = 0;
   int shift = 0;
   for (;;) {
-    const int c = is.get();
-    if (c == std::char_traits<char>::eof()) {
+    if (pos >= in.size()) {
       throw std::runtime_error(std::string(ctx) + ": truncated varint");
     }
+    const auto c = static_cast<unsigned char>(in[pos++]);
     const auto group = static_cast<std::uint64_t>(c & 0x7f);
     // Shift 63 is the tenth byte: only its low bit is representable.
     if (shift == 63 && group > 1) {

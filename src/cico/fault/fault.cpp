@@ -165,7 +165,7 @@ double FaultInjector::keyed_uniform(std::uint64_t salt, std::uint64_t a,
                                     std::uint64_t d, std::uint64_t e) const {
   // Chained SplitMix64 finalizer over the message identity: stateless, so
   // the verdict for a given message is the same no matter in what order it
-  // is drawn (the keyed-mode determinism argument).
+  // is drawn.
   constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
   auto mix = [](std::uint64_t z) {
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -182,7 +182,6 @@ double FaultInjector::keyed_uniform(std::uint64_t salt, std::uint64_t a,
 FaultInjector::Fate FaultInjector::fate_at(net::MsgType t, bool droppable,
                                            NodeId from, NodeId to, Cycle now,
                                            Block tag) {
-  if (!keyed_) return fate(t, droppable);
   Fate f;
   const auto ti = static_cast<std::uint64_t>(t);
   // Distinct salts per decision; the reliable/droppable leg bit keeps the
@@ -211,40 +210,8 @@ FaultInjector::Fate FaultInjector::fate_at(net::MsgType t, bool droppable,
 }
 
 Cycle FaultInjector::handler_stall_at(Block b, NodeId req, Cycle now) {
-  if (!keyed_) return handler_stall();
   if (spec_.stall.prob <= 0.0) return 0;
   if (keyed_uniform(7, b, req, now, 0, 0) >= spec_.stall.prob) return 0;
-  ++stalls_;
-  return spec_.stall.cycles;
-}
-
-FaultInjector::Fate FaultInjector::fate(net::MsgType t, bool droppable) {
-  Fate f;
-  if (droppable) {
-    const double p = spec_.drop_prob(t);
-    if (p > 0.0 && rng_.uniform() < p) {
-      f.dropped = true;
-      ++drops_;
-      ++drops_by_[static_cast<std::size_t>(t)];
-      return f;  // a dropped message is neither duplicated nor delayed
-    }
-  }
-  const double dp = spec_.dup_prob(t);
-  if (dp > 0.0 && rng_.uniform() < dp) {
-    f.duplicated = true;
-    ++dups_;
-  }
-  const RateSpec dl = spec_.delay_rate(t);
-  if (dl.prob > 0.0 && rng_.uniform() < dl.prob) {
-    f.delay = dl.cycles;
-    ++delays_;
-  }
-  return f;
-}
-
-Cycle FaultInjector::handler_stall() {
-  if (spec_.stall.prob <= 0.0) return 0;
-  if (rng_.uniform() >= spec_.stall.prob) return 0;
   ++stalls_;
   return spec_.stall.cycles;
 }

@@ -4,10 +4,10 @@
 // simulator above it are therefore never exercised against message loss,
 // duplication, delay, or a slow software handler.  This subsystem makes
 // those failure modes injectable, *deterministically*: a FaultSpec carries
-// the probabilities and a seed, a FaultInjector draws from one SplitMix64
-// stream, and because every network/protocol interaction happens in the
-// simulator's deterministic boundary phase, the same spec always yields
-// the same faults, the same retries, and bit-identical statistics.
+// the probabilities and a seed, and a FaultInjector hashes the seed with
+// each message's identity, so the same spec always yields the same
+// faults, the same retries, and bit-identical statistics whatever order
+// the simulator services messages in.
 //
 // Spec grammar (comma-separated key=value; see docs/fault_injection.md):
 //
@@ -33,7 +33,6 @@
 #include <string>
 #include <string_view>
 
-#include "cico/common/rng.hpp"
 #include "cico/common/types.hpp"
 #include "cico/net/msg.hpp"
 
@@ -93,27 +92,17 @@ struct FaultSpec {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Draws fault decisions deterministically, in one of two modes.
-///
-/// Sequential (default): one SplitMix64 stream, draws consumed in call
-/// order.  Reproducible because every network/protocol interaction happens
-/// in the single-threaded boundary phase.
-///
-/// Keyed (set_keyed(true), used by sim::Machine): every verdict is a
-/// stateless hash of (seed, message identity: type, leg, endpoints, send
-/// time, block tag), so the draw is independent of the order in which
-/// messages are serviced.  Retries are re-keyed by their later send time,
-/// so drop=1.0 still exhausts budgets.
+/// Draws fault decisions deterministically: every verdict is a stateless
+/// hash of (seed, message identity: type, leg, endpoints, send time, block
+/// tag), so the draw is independent of the order in which messages are
+/// serviced.  Retries are re-keyed by their later send time, so drop=1.0
+/// still exhausts budgets.
 class FaultInjector {
  public:
-  explicit FaultInjector(const FaultSpec& spec)
-      : spec_(spec), rng_(spec.seed) {}
+  explicit FaultInjector(const FaultSpec& spec) : spec_(spec) {}
 
   [[nodiscard]] const FaultSpec& spec() const { return spec_; }
   [[nodiscard]] bool injects() const { return spec_.injects(); }
-
-  void set_keyed(bool on) { keyed_ = on; }
-  [[nodiscard]] bool keyed() const { return keyed_; }
 
   /// Per-message verdict.  `droppable` is false for message legs the model
   /// treats as reliable (interior handler traffic, prefetch replies).
@@ -122,18 +111,11 @@ class FaultInjector {
     bool duplicated = false;
     Cycle delay = 0;
   };
-  [[nodiscard]] Fate fate(net::MsgType t, bool droppable);
-
-  /// Verdict for a message with a known identity; uses the keyed draw in
-  /// keyed mode and falls back to the sequential stream otherwise.
   [[nodiscard]] Fate fate_at(net::MsgType t, bool droppable, NodeId from,
                              NodeId to, Cycle now, Block tag);
 
-  /// Stall to add to one software-handler invocation (usually 0).
-  [[nodiscard]] Cycle handler_stall();
-
-  /// Stall for a handler invocation with a known identity (block serviced,
-  /// requesting node, request arrival time); keyed-mode aware like fate_at.
+  /// Stall to add to one software-handler invocation (usually 0), keyed by
+  /// the block serviced, the requesting node and the request arrival time.
   [[nodiscard]] Cycle handler_stall_at(Block b, NodeId req, Cycle now);
 
   // --- telemetry (for soak reports) ---------------------------------------
@@ -152,8 +134,6 @@ class FaultInjector {
                                      std::uint64_t d, std::uint64_t e) const;
 
   FaultSpec spec_;
-  Rng rng_;
-  bool keyed_ = false;
   std::uint64_t drops_ = 0;
   std::uint64_t dups_ = 0;
   std::uint64_t delays_ = 0;

@@ -1,12 +1,10 @@
 #include "cico/lang/cfg.hpp"
 
-#include <algorithm>
-
 namespace cico::lang {
 
 Cfg::Cfg(const Program& p) {
   new_block();  // entry
-  exit_ = build_seq(p.body, 0, 0, 0, 0);
+  exit_ = build_seq(p.body, 0, 0, 0);
   for (const BasicBlock& b : blocks_) {
     for (std::uint32_t s : b.succ) blocks_[s].pred.push_back(b.id);
   }
@@ -20,19 +18,14 @@ std::uint32_t Cfg::new_block() {
 }
 
 std::uint32_t Cfg::build_seq(const std::vector<StmtPtr>& stmts,
-                             std::uint32_t cur, AstId loop, AstId parent,
-                             int depth) {
+                             std::uint32_t cur, AstId loop, AstId parent) {
   for (const auto& sp : stmts) {
     const Stmt& s = *sp;
     loop_of_[s.id] = loop;
     parent_of_[s.id] = parent;
-    depth_of_[s.id] = depth;
     switch (s.kind) {
       case StmtKind::For: {
         loops_.push_back(s.id);
-        loop_info_.emplace(
-            s.id, LoopInfo{s.id, s.name, s.lo.get(), s.hi.get(), s.step.get(),
-                           loop, depth});
         // header block
         const std::uint32_t header = new_block();
         blocks_[cur].succ.push_back(header);
@@ -40,7 +33,7 @@ std::uint32_t Cfg::build_seq(const std::vector<StmtPtr>& stmts,
         const std::uint32_t body_entry = new_block();
         blocks_[header].succ.push_back(body_entry);
         const std::uint32_t body_exit =
-            build_seq(s.body, body_entry, s.id, s.id, depth + 1);
+            build_seq(s.body, body_entry, s.id, s.id);
         blocks_[body_exit].succ.push_back(header);  // back edge
         const std::uint32_t after = new_block();
         blocks_[header].succ.push_back(after);  // loop exit
@@ -54,7 +47,7 @@ std::uint32_t Cfg::build_seq(const std::vector<StmtPtr>& stmts,
         const std::uint32_t then_entry = new_block();
         blocks_[cond].succ.push_back(then_entry);
         const std::uint32_t then_exit =
-            build_seq(s.body, then_entry, loop, s.id, depth);
+            build_seq(s.body, then_entry, loop, s.id);
         const std::uint32_t after = new_block();
         blocks_[then_exit].succ.push_back(after);
         if (s.else_body.empty()) {
@@ -63,7 +56,7 @@ std::uint32_t Cfg::build_seq(const std::vector<StmtPtr>& stmts,
           const std::uint32_t else_entry = new_block();
           blocks_[cond].succ.push_back(else_entry);
           const std::uint32_t else_exit =
-              build_seq(s.else_body, else_entry, loop, s.id, depth);
+              build_seq(s.else_body, else_entry, loop, s.id);
           blocks_[else_exit].succ.push_back(after);
         }
         cur = after;
@@ -95,34 +88,6 @@ AstId Cfg::loop_of(AstId stmt) const {
 AstId Cfg::parent_of(AstId stmt) const {
   auto it = parent_of_.find(stmt);
   return it == parent_of_.end() ? 0 : it->second;
-}
-
-int Cfg::depth_of(AstId stmt) const {
-  auto it = depth_of_.find(stmt);
-  return it == depth_of_.end() ? 0 : it->second;
-}
-
-const LoopInfo* Cfg::loop_info(AstId loop) const {
-  auto it = loop_info_.find(loop);
-  return it == loop_info_.end() ? nullptr : &it->second;
-}
-
-std::vector<const LoopInfo*> Cfg::loop_chain(AstId stmt) const {
-  std::vector<const LoopInfo*> chain;
-  for (AstId cur = loop_of(stmt); cur != 0; cur = loop_of(cur)) {
-    if (const LoopInfo* li = loop_info(cur)) chain.push_back(li);
-  }
-  std::reverse(chain.begin(), chain.end());
-  return chain;
-}
-
-bool Cfg::nested_in(AstId inner, AstId outer) const {
-  AstId cur = loop_of(inner);
-  while (cur != 0) {
-    if (cur == outer) return true;
-    cur = loop_of(cur);
-  }
-  return false;
 }
 
 }  // namespace cico::lang

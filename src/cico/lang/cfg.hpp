@@ -24,20 +24,6 @@ struct BasicBlock {
   std::vector<std::uint32_t> pred;   ///< predecessor block ids
 };
 
-/// Induction facts for one For loop: the variable it binds, its bound
-/// expressions, and its position in the loop tree.  Bounds stay as
-/// expressions -- clients fold them under whatever environment they have
-/// (the static planner uses analysis::eval_affine outer-to-inner).
-struct LoopInfo {
-  AstId id = 0;
-  std::string var;
-  const Expr* lo = nullptr;
-  const Expr* hi = nullptr;
-  const Expr* step = nullptr;  ///< null = step 1
-  AstId parent_loop = 0;       ///< innermost enclosing For (0 = none)
-  int depth = 0;               ///< 0 = outermost
-};
-
 class Cfg {
  public:
   /// Builds CFG + loop tree for the parallel body of `p`.
@@ -52,43 +38,27 @@ class Cfg {
   /// Innermost enclosing For statement of a statement (0 = none).
   [[nodiscard]] AstId loop_of(AstId stmt) const;
 
-  /// Loop nesting depth of a statement (0 = top level).
-  [[nodiscard]] int depth_of(AstId stmt) const;
-
   /// Direct parent statement (For/If) of a statement, 0 if top level.
   [[nodiscard]] AstId parent_of(AstId stmt) const;
 
   /// All For statements, outermost first.
   [[nodiscard]] const std::vector<AstId>& loops() const { return loops_; }
 
-  /// Induction facts for a For statement (nullptr for non-loop ids).
-  [[nodiscard]] const LoopInfo* loop_info(AstId loop) const;
-
-  /// Enclosing For loops of a statement, outermost first (empty at top
-  /// level; a For's chain excludes itself).
-  [[nodiscard]] std::vector<const LoopInfo*> loop_chain(AstId stmt) const;
-
   /// Barrier statements in source order.
   [[nodiscard]] const std::vector<AstId>& barriers() const { return barriers_; }
-
-  /// Is `inner` nested (transitively) inside loop `outer`?
-  [[nodiscard]] bool nested_in(AstId inner, AstId outer) const;
 
  private:
   std::uint32_t new_block();
   /// Returns the block that execution falls into after the sequence.
   std::uint32_t build_seq(const std::vector<StmtPtr>& stmts,
-                          std::uint32_t cur, AstId loop, AstId parent,
-                          int depth);
+                          std::uint32_t cur, AstId loop, AstId parent);
 
   std::vector<BasicBlock> blocks_;
   std::uint32_t exit_ = 0;
   std::vector<AstId> loops_;
   std::vector<AstId> barriers_;
-  std::unordered_map<AstId, LoopInfo> loop_info_;
   std::unordered_map<AstId, AstId> loop_of_;
   std::unordered_map<AstId, AstId> parent_of_;
-  std::unordered_map<AstId, int> depth_of_;
 };
 
 }  // namespace cico::lang

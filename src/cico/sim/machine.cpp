@@ -51,10 +51,6 @@ Machine::Machine(SimConfig cfg)
   if (cfg_.nodes == 0) throw std::invalid_argument("Machine: nodes == 0");
   if (cfg_.faults.injects()) {
     injector_ = std::make_unique<fault::FaultInjector>(cfg_.faults);
-    // Keyed draws make every fault a function of the message's identity
-    // rather than of service order (and keep the fault stream of a seed
-    // fixed since keyed mode was introduced).
-    injector_->set_keyed(true);
     net_.set_fault_injector(injector_.get());
   }
   ctxs_.reserve(cfg_.nodes);

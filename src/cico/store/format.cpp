@@ -5,6 +5,7 @@
 #include <istream>
 #include <limits>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <tuple>
@@ -23,22 +24,6 @@ constexpr std::uint64_t kMaxLabelBytes = 1u << 20;
   throw std::runtime_error("trace: " + what);
 }
 
-std::uint64_t get(std::istream& is) { return common::get_varint(is, "trace"); }
-
-void put_string(std::ostream& os, const std::string& s) {
-  common::put_varint(os, s.size());
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-std::string get_string(std::istream& is) {
-  const auto n = get(is);
-  if (n > kMaxLabelBytes) fail("oversized string");
-  std::string s(n, '\0');
-  is.read(s.data(), static_cast<std::streamsize>(n));
-  if (!is) fail("truncated v2 input");
-  return s;
-}
-
 [[nodiscard]] auto miss_key(const trace::MissRecord& m) {
   return std::tuple(m.epoch, m.node, m.addr, m.pc,
                     static_cast<std::uint8_t>(m.kind), m.size);
@@ -48,100 +33,217 @@ std::string get_string(std::istream& is) {
   return std::tuple(b.epoch, b.node, b.vt, b.barrier_pc);
 }
 
-/// Encodes one chunk's records (already canonically sorted) with deltas
+// --- encoder ----------------------------------------------------------------
+
+/// Appends one chunk's records (already canonically sorted) with deltas
 /// reset at the chunk boundary, so every chunk decodes independently.
-std::string encode_payload(EpochId first_epoch,
-                           const std::vector<trace::MissRecord>& misses,
-                           const std::vector<trace::BarrierRecord>& barriers) {
-  std::ostringstream ss;
-  common::put_varint(ss, misses.size());
+void encode_payload(std::string& out, EpochId first_epoch,
+                    std::span<const trace::MissRecord> misses,
+                    std::span<const trace::BarrierRecord> barriers) {
+  common::put_varint(out, misses.size());
   EpochId prev_e = first_epoch;
   Addr prev_addr = 0;
   for (const auto& m : misses) {
-    common::put_varint(ss, m.epoch - prev_e);
+    common::put_varint(out, m.epoch - prev_e);
     prev_e = m.epoch;
-    common::put_varint(ss, m.node);
-    common::put_varint(ss, static_cast<std::uint64_t>(m.kind));
-    common::put_varint(ss, common::zigzag_encode(m.addr, prev_addr));
+    common::put_varint(out, m.node);
+    common::put_varint(out, static_cast<std::uint64_t>(m.kind));
+    common::put_varint(out, common::zigzag_encode(m.addr, prev_addr));
     prev_addr = m.addr;
-    common::put_varint(ss, m.size);
-    common::put_varint(ss, m.pc);
+    common::put_varint(out, m.size);
+    common::put_varint(out, m.pc);
   }
-  common::put_varint(ss, barriers.size());
+  common::put_varint(out, barriers.size());
   prev_e = first_epoch;
   Cycle prev_vt = 0;
   for (const auto& b : barriers) {
-    common::put_varint(ss, b.epoch - prev_e);
+    common::put_varint(out, b.epoch - prev_e);
     prev_e = b.epoch;
-    common::put_varint(ss, b.node);
-    common::put_varint(ss, b.barrier_pc);
-    common::put_varint(ss, common::zigzag_encode(b.vt, prev_vt));
+    common::put_varint(out, b.node);
+    common::put_varint(out, b.barrier_pc);
+    common::put_varint(out, common::zigzag_encode(b.vt, prev_vt));
     prev_vt = b.vt;
   }
-  return ss.str();
 }
 
-/// Decodes and validates one payload: canonical record order, in-chunk
-/// epochs, range-checked narrow fields, and full consumption.
-void decode_payload(const std::string& payload, EpochId first_epoch,
-                    EpochId span, ChunkRecords& out) {
-  std::istringstream ps(payload);
+// --- decoder ----------------------------------------------------------------
+
+/// A bounds-checked read position in a byte buffer.
+class Cursor {
+ public:
+  explicit Cursor(std::string_view in) : in_(in) {}
+
+  std::uint64_t varint() { return common::get_varint(in_, pos_, "trace"); }
+
+  /// The next `n` bytes.
+  std::string_view take(std::uint64_t n) {
+    if (n > in_.size() - pos_) fail("truncated v2 input");
+    const std::string_view s = in_.substr(pos_, n);
+    pos_ += n;
+    return s;
+  }
+
+  [[nodiscard]] std::size_t pos() const { return pos_; }
+  [[nodiscard]] bool at_end() const { return pos_ == in_.size(); }
+
+ private:
+  std::string_view in_;
+  std::size_t pos_ = 0;
+};
+
+/// The epoch `delta` past `prev`, which must lie before `chunk_end`
+/// (compared without forming the sum, so a huge delta cannot wrap back
+/// into the chunk).
+EpochId epoch_in_chunk(EpochId prev, std::uint64_t delta,
+                       std::uint64_t chunk_end) {
+  if (delta >= chunk_end - prev) fail("record epoch outside chunk");
+  return static_cast<EpochId>(prev + delta);
+}
+
+/// Decodes and validates one payload into `t`: canonical record order,
+/// in-chunk epochs, range-checked narrow fields, and full consumption.
+/// Returns the chunk's last record epoch.
+EpochId decode_payload(std::string_view payload, EpochId first_epoch,
+                       EpochId span, trace::Trace& t) {
+  Cursor in(payload);
   const std::uint64_t chunk_end =
       static_cast<std::uint64_t>(first_epoch) + span;  // exclusive
 
-  const auto nmisses = get(ps);
+  const auto nmisses = in.varint();
   if (nmisses > payload.size() / 6) fail("miss count exceeds payload");
-  out.misses.reserve(nmisses);
   EpochId prev_e = first_epoch;
   Addr prev_addr = 0;
   for (std::uint64_t i = 0; i < nmisses; ++i) {
     trace::MissRecord m;
-    const std::uint64_t e = static_cast<std::uint64_t>(prev_e) + get(ps);
-    if (e >= chunk_end) fail("record epoch outside chunk");
-    m.epoch = static_cast<EpochId>(e);
+    m.epoch = epoch_in_chunk(prev_e, in.varint(), chunk_end);
     prev_e = m.epoch;
-    m.node = common::narrow_varint<NodeId>(get(ps), "trace", "node");
-    const auto kind = get(ps);
+    m.node = common::narrow_varint<NodeId>(in.varint(), "trace", "node");
+    const auto kind = in.varint();
     if (kind > static_cast<std::uint64_t>(trace::MissKind::WriteFault)) {
       fail("bad miss kind");
     }
     m.kind = static_cast<trace::MissKind>(kind);
-    m.addr = common::zigzag_decode(get(ps), prev_addr);
+    m.addr = common::zigzag_decode(in.varint(), prev_addr);
     prev_addr = m.addr;
-    m.size = common::narrow_varint<std::uint32_t>(get(ps), "trace", "size");
-    m.pc = common::narrow_varint<PcId>(get(ps), "trace", "pc");
-    if (!out.misses.empty() && miss_key(m) < miss_key(out.misses.back())) {
+    m.size = common::narrow_varint<std::uint32_t>(in.varint(), "trace", "size");
+    m.pc = common::narrow_varint<PcId>(in.varint(), "trace", "pc");
+    if (i > 0 && miss_key(m) < miss_key(t.misses.back())) {
       fail("chunk records out of canonical order");
     }
-    out.misses.push_back(m);
+    t.misses.push_back(m);
   }
+  EpochId last = prev_e;
 
-  const auto nbarriers = get(ps);
+  const auto nbarriers = in.varint();
   if (nbarriers > payload.size() / 4) fail("barrier count exceeds payload");
-  out.barriers.reserve(nbarriers);
   prev_e = first_epoch;
   Cycle prev_vt = 0;
   for (std::uint64_t i = 0; i < nbarriers; ++i) {
     trace::BarrierRecord b;
-    const std::uint64_t e = static_cast<std::uint64_t>(prev_e) + get(ps);
-    if (e >= chunk_end) fail("record epoch outside chunk");
-    b.epoch = static_cast<EpochId>(e);
+    b.epoch = epoch_in_chunk(prev_e, in.varint(), chunk_end);
     prev_e = b.epoch;
-    b.node = common::narrow_varint<NodeId>(get(ps), "trace", "node");
+    b.node = common::narrow_varint<NodeId>(in.varint(), "trace", "node");
     b.barrier_pc =
-        common::narrow_varint<PcId>(get(ps), "trace", "barrier pc");
-    b.vt = common::zigzag_decode(get(ps), prev_vt);
+        common::narrow_varint<PcId>(in.varint(), "trace", "barrier pc");
+    b.vt = common::zigzag_decode(in.varint(), prev_vt);
     prev_vt = b.vt;
-    if (!out.barriers.empty() &&
-        barrier_key(b) < barrier_key(out.barriers.back())) {
+    if (i > 0 && barrier_key(b) < barrier_key(t.barriers.back())) {
       fail("chunk records out of canonical order");
     }
-    out.barriers.push_back(b);
+    t.barriers.push_back(b);
+  }
+  last = std::max(last, prev_e);
+
+  if (!in.at_end()) fail("chunk payload has trailing bytes");
+  return last;
+}
+
+/// Parses and validates a whole v2 stream into `t` (labels are read but
+/// not cross-checked).  Returns the end offset of the header and of every
+/// chunk: the cuts split_v2 makes.
+std::vector<std::size_t> decode(std::string_view bytes, trace::Trace& t) {
+  if (!is_v2(bytes)) fail("bad v2 header");
+  Cursor in(bytes);
+  (void)in.take(sizeof(kV2Magic));
+  const auto version = in.varint();
+  if (version != 2) {
+    fail("unsupported v2 version " + std::to_string(version));
+  }
+  const auto k =
+      common::narrow_varint<EpochId>(in.varint(), "trace", "epochs per chunk");
+  if (k == 0) fail("epochs per chunk must be >= 1");
+  const auto nlabels = in.varint();
+  if (nlabels > kMaxLabelBytes) fail("label count");
+  for (std::uint64_t i = 0; i < nlabels; ++i) {
+    trace::RegionLabel r;
+    const auto len = in.varint();
+    if (len > kMaxLabelBytes) fail("oversized string");
+    r.label = in.take(len);
+    r.base = in.varint();
+    r.bytes = in.varint();
+    const auto reg = in.varint();
+    if (reg > 1) fail("regular flag must be 0 or 1");
+    r.regular = reg != 0;
+    t.labels.push_back(std::move(r));
+  }
+  std::vector<std::size_t> cuts{in.pos()};
+
+  std::uint64_t chunks = 0;
+  EpochId prev_first = 0;
+  EpochId prev_span = 0;
+  EpochId prev_last = 0;  // last record epoch of the previous chunk
+  for (;;) {
+    const char tag = in.take(1)[0];
+    if (tag == 0x00) break;
+    if (tag != 0x01) fail("bad chunk tag");
+
+    // Every chunk except the final one spans exactly K epochs.
+    if (chunks > 0 && prev_span != k) fail("short chunk before end");
+    const auto first = common::narrow_varint<EpochId>(in.varint(), "trace",
+                                                       "chunk first epoch");
+    const auto span =
+        common::narrow_varint<EpochId>(in.varint(), "trace", "chunk span");
+    if (span == 0 || span > k) fail("bad chunk span");
+    if (first % k != 0) fail("misaligned chunk");
+    if (chunks > 0 && first <= prev_first) fail("chunks out of order");
+    if (span - 1 > std::numeric_limits<EpochId>::max() - first) {
+      fail("chunk epoch range overflow");
+    }
+
+    const auto plen = in.varint();
+    if (plen > kMaxPayloadBytes) fail("oversized chunk");
+    const std::string_view digest = in.take(16);
+    const std::string_view payload = in.take(plen);
+    common::ContentHasher h;
+    h << payload;
+    const auto want = h.digest();
+    if (std::memcmp(digest.data(), want.data(), want.size()) != 0) {
+      fail("chunk hash mismatch");
+    }
+
+    const std::size_t records = t.misses.size() + t.barriers.size();
+    prev_last = decode_payload(payload, first, span, t);
+    if (t.misses.size() + t.barriers.size() == records) fail("empty chunk");
+    prev_first = first;
+    prev_span = span;
+    ++chunks;
+    cuts.push_back(in.pos());
   }
 
-  if (ps.peek() != std::char_traits<char>::eof()) {
-    fail("chunk payload has trailing bytes");
+  // End marker: the chunk before it is the final one, so its span must
+  // end exactly at its own last record epoch (canonical form).
+  if (chunks > 0 && prev_first + prev_span - 1 != prev_last) {
+    fail("final chunk span mismatch");
   }
+  const auto nchunks = in.varint();
+  const auto nmisses = in.varint();
+  const auto nbarriers = in.varint();
+  if (nchunks != chunks || nmisses != t.misses.size() ||
+      nbarriers != t.barriers.size()) {
+    fail("trailer counts mismatch");
+  }
+  if (!in.at_end()) fail("trailing junk after trailer");
+  return cuts;
 }
 
 }  // namespace
@@ -151,256 +253,102 @@ bool is_v2(std::string_view bytes) {
          std::memcmp(bytes.data(), kV2Magic, sizeof(kV2Magic)) == 0;
 }
 
-// --- ChunkWriter -----------------------------------------------------------
-
-ChunkWriter::ChunkWriter(std::ostream& os,
-                         std::vector<trace::RegionLabel> labels,
-                         EpochId epochs_per_chunk)
-    : os_(os), k_(epochs_per_chunk == 0 ? 1 : epochs_per_chunk) {
-  os_.write(kV2Magic, sizeof(kV2Magic));
-  common::put_varint(os_, 2);  // version
-  common::put_varint(os_, k_);
-  common::put_varint(os_, labels.size());
-  for (const auto& r : labels) {
-    put_string(os_, r.label);
-    common::put_varint(os_, r.base);
-    common::put_varint(os_, r.bytes);
-    common::put_varint(os_, r.regular ? 1 : 0);
-  }
-}
-
-void ChunkWriter::advance_to(EpochId epoch) {
-  if (finished_) {
-    throw std::logic_error("trace: ChunkWriter used after finish()");
-  }
-  if (epoch < group_first_) {
-    fail("record epoch out of order for chunked write");
-  }
-  if (epoch - group_first_ >= k_) {
-    // The open group is complete; the incoming record guarantees a later
-    // chunk follows, so this one is emitted with the full span K (empty
-    // groups in between are simply skipped -- they have no chunk).
-    if (!misses_.empty() || !barriers_.empty()) flush_group(false);
-    group_first_ = epoch / k_ * k_;
-  }
-}
-
-void ChunkWriter::add(const trace::MissRecord& m) {
-  advance_to(m.epoch);
-  misses_.push_back(m);
-}
-
-void ChunkWriter::add(const trace::BarrierRecord& b) {
-  advance_to(b.epoch);
-  barriers_.push_back(b);
-}
-
-void ChunkWriter::flush_group(bool final_chunk) {
-  std::sort(misses_.begin(), misses_.end(),
-            [](const trace::MissRecord& a, const trace::MissRecord& b) {
-              return miss_key(a) < miss_key(b);
-            });
-  std::sort(barriers_.begin(), barriers_.end(),
-            [](const trace::BarrierRecord& a, const trace::BarrierRecord& b) {
-              return barrier_key(a) < barrier_key(b);
-            });
-  EpochId last = group_first_;
-  for (const auto& m : misses_) last = std::max(last, m.epoch);
-  for (const auto& b : barriers_) last = std::max(last, b.epoch);
-  const EpochId span = final_chunk ? last - group_first_ + 1 : k_;
-
-  const std::string payload = encode_payload(group_first_, misses_, barriers_);
-  common::ContentHasher h;
-  h << payload;
-  const auto digest = h.digest();
-
-  os_.put(0x01);
-  common::put_varint(os_, group_first_);
-  common::put_varint(os_, span);
-  common::put_varint(os_, payload.size());
-  os_.write(reinterpret_cast<const char*>(digest.data()),
-            static_cast<std::streamsize>(digest.size()));
-  os_.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-
-  total_misses_ += misses_.size();
-  total_barriers_ += barriers_.size();
-  ++chunks_;
-  misses_.clear();
-  barriers_.clear();
-}
-
-void ChunkWriter::finish() {
-  if (finished_) {
-    throw std::logic_error("trace: ChunkWriter::finish() called twice");
-  }
-  if (!misses_.empty() || !barriers_.empty()) flush_group(true);
-  os_.put(0x00);
-  common::put_varint(os_, chunks_);
-  common::put_varint(os_, total_misses_);
-  common::put_varint(os_, total_barriers_);
-  finished_ = true;
-}
-
-// --- ChunkReader -----------------------------------------------------------
-
-ChunkReader::ChunkReader(std::istream& is) : is_(is) {
-  char magic[sizeof(kV2Magic)] = {};
-  is_.read(magic, sizeof(magic));
-  if (!is_ || std::memcmp(magic, kV2Magic, sizeof(magic)) != 0) {
-    fail("bad v2 header");
-  }
-  const auto version = get(is_);
-  if (version != 2) {
-    fail("unsupported v2 version " + std::to_string(version));
-  }
-  k_ = common::narrow_varint<EpochId>(get(is_), "trace", "epochs per chunk");
-  if (k_ == 0) fail("epochs per chunk must be >= 1");
-  const auto nlabels = get(is_);
-  if (nlabels > kMaxLabelBytes) fail("label count");
-  labels_.reserve(nlabels);
-  for (std::uint64_t i = 0; i < nlabels; ++i) {
-    trace::RegionLabel r;
-    r.label = get_string(is_);
-    r.base = get(is_);
-    r.bytes = get(is_);
-    const auto reg = get(is_);
-    if (reg > 1) fail("regular flag must be 0 or 1");
-    r.regular = reg != 0;
-    labels_.push_back(std::move(r));
-  }
-}
-
-bool ChunkReader::next(ChunkRecords& out) {
-  if (done_) return false;
-  const int tag = is_.get();
-  if (tag == std::char_traits<char>::eof()) fail("truncated v2 input");
-
-  if (tag == 0x00) {
-    // End marker: the chunk before it is the final one, so its span must
-    // end exactly at its own last record epoch (canonical form).
-    if (have_prev_ && prev_first_ + prev_span_ - 1 != prev_last_epoch_) {
-      fail("final chunk span mismatch");
-    }
-    const auto nchunks = get(is_);
-    const auto nmisses = get(is_);
-    const auto nbarriers = get(is_);
-    if (nchunks != chunks_ || nmisses != misses_ || nbarriers != barriers_) {
-      fail("trailer counts mismatch");
-    }
-    if (is_.peek() != std::char_traits<char>::eof()) {
-      fail("trailing junk after trailer");
-    }
-    done_ = true;
-    return false;
-  }
-  if (tag != 0x01) fail("bad chunk tag");
-
-  // Every chunk except the final one spans exactly K epochs.
-  if (have_prev_ && prev_span_ != k_) fail("short chunk before end");
-
-  const auto first =
-      common::narrow_varint<EpochId>(get(is_), "trace", "chunk first epoch");
-  const auto span =
-      common::narrow_varint<EpochId>(get(is_), "trace", "chunk span");
-  if (span == 0 || span > k_) fail("bad chunk span");
-  if (first % k_ != 0) fail("misaligned chunk");
-  if (have_prev_ && first <= prev_first_) fail("chunks out of order");
-  if (span - 1 > std::numeric_limits<EpochId>::max() - first) {
-    fail("chunk epoch range overflow");
-  }
-
-  const auto plen = get(is_);
-  if (plen > kMaxPayloadBytes) fail("oversized chunk");
-  char digest[16] = {};
-  is_.read(digest, sizeof(digest));
-  if (!is_) fail("truncated v2 input");
-  std::string payload(plen, '\0');
-  is_.read(payload.data(), static_cast<std::streamsize>(plen));
-  if (!is_) fail("truncated v2 input");
-
-  common::ContentHasher h;
-  h << payload;
-  const auto want = h.digest();
-  if (std::memcmp(digest, want.data(), want.size()) != 0) {
-    fail("chunk hash mismatch");
-  }
-
-  out.first_epoch = first;
-  out.epochs = span;
-  out.misses.clear();
-  out.barriers.clear();
-  out.hash_hex = h.hex();
-  decode_payload(payload, first, span, out);
-  if (out.misses.empty() && out.barriers.empty()) fail("empty chunk");
-
-  EpochId last = first;
-  for (const auto& m : out.misses) last = std::max(last, m.epoch);
-  for (const auto& b : out.barriers) last = std::max(last, b.epoch);
-
-  have_prev_ = true;
-  prev_first_ = first;
-  prev_span_ = span;
-  prev_last_epoch_ = last;
-  ++chunks_;
-  misses_ += out.misses.size();
-  barriers_ += out.barriers.size();
-  return true;
-}
-
-// --- whole-trace conveniences ----------------------------------------------
-
-void save_v2(const trace::Trace& t, std::ostream& os,
-             EpochId epochs_per_chunk) {
+std::string encode_v2(const trace::Trace& t, EpochId epochs_per_chunk) {
   trace::Trace c;
   c.misses = t.misses;
   c.barriers = t.barriers;
-  c.labels = t.labels;
   trace::canonicalize(c);
   (void)c.num_epochs();  // rejects the unrepresentable EpochId-max epoch
+  const EpochId k = epochs_per_chunk == 0 ? 1 : epochs_per_chunk;
 
-  ChunkWriter w(os, c.labels, epochs_per_chunk);
-  // Merge the two (epoch-sorted) streams so the writer sees nondecreasing
-  // epochs; record counts, not epoch ids, bound this loop.
+  std::string out(kV2Magic, sizeof(kV2Magic));
+  common::put_varint(out, 2);  // version
+  common::put_varint(out, k);
+  common::put_varint(out, t.labels.size());
+  for (const auto& r : t.labels) {
+    common::put_varint(out, r.label.size());
+    out += r.label;
+    common::put_varint(out, r.base);
+    common::put_varint(out, r.bytes);
+    common::put_varint(out, r.regular ? 1 : 0);
+  }
+
+  // One chunk per epoch group [first, first + K) that holds a record;
+  // empty groups have none.  Record counts, not epoch ids, bound the loop.
+  const auto& ms = c.misses;
+  const auto& bs = c.barriers;
   std::size_t mi = 0;
   std::size_t bi = 0;
-  while (mi < c.misses.size() || bi < c.barriers.size()) {
+  std::uint64_t chunks = 0;
+  std::string payload;
+  while (mi < ms.size() || bi < bs.size()) {
     EpochId e = std::numeric_limits<EpochId>::max();
-    if (mi < c.misses.size()) e = std::min(e, c.misses[mi].epoch);
-    if (bi < c.barriers.size()) e = std::min(e, c.barriers[bi].epoch);
-    while (mi < c.misses.size() && c.misses[mi].epoch == e) w.add(c.misses[mi++]);
-    while (bi < c.barriers.size() && c.barriers[bi].epoch == e) {
-      w.add(c.barriers[bi++]);
+    if (mi < ms.size()) e = ms[mi].epoch;
+    if (bi < bs.size()) e = std::min(e, bs[bi].epoch);
+    const EpochId first = e / k * k;
+    const std::uint64_t end = static_cast<std::uint64_t>(first) + k;
+    std::size_t mj = mi;
+    std::size_t bj = bi;
+    while (mj < ms.size() && ms[mj].epoch < end) ++mj;
+    while (bj < bs.size() && bs[bj].epoch < end) ++bj;
+
+    // A later record means a later chunk, so this one spans the full K;
+    // the final chunk ends at its own last record epoch.
+    EpochId span = k;
+    if (mj == ms.size() && bj == bs.size()) {
+      EpochId last = first;
+      if (mj > mi) last = ms[mj - 1].epoch;
+      if (bj > bi) last = std::max(last, bs[bj - 1].epoch);
+      span = last - first + 1;
     }
+
+    payload.clear();
+    encode_payload(payload, first, {ms.data() + mi, mj - mi},
+                   {bs.data() + bi, bj - bi});
+    common::ContentHasher h;
+    h << payload;
+    const auto digest = h.digest();
+    out.push_back('\x01');
+    common::put_varint(out, first);
+    common::put_varint(out, span);
+    common::put_varint(out, payload.size());
+    out.append(reinterpret_cast<const char*>(digest.data()), digest.size());
+    out += payload;
+    ++chunks;
+    mi = mj;
+    bi = bj;
   }
-  w.finish();
+  out.push_back('\x00');
+  common::put_varint(out, chunks);
+  common::put_varint(out, ms.size());
+  common::put_varint(out, bs.size());
+  return out;
+}
+
+void save_v2(const trace::Trace& t, std::ostream& os,
+             EpochId epochs_per_chunk) {
+  const std::string bytes = encode_v2(t, epochs_per_chunk);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 trace::Trace load_v2(std::istream& is) {
-  ChunkReader r(is);
+  std::ostringstream ss;
+  ss << is.rdbuf();
   trace::Trace t;
-  t.labels = r.labels();
-  ChunkRecords c;
-  while (r.next(c)) {
-    t.misses.insert(t.misses.end(), c.misses.begin(), c.misses.end());
-    t.barriers.insert(t.barriers.end(), c.barriers.begin(), c.barriers.end());
-  }
+  (void)decode(ss.str(), t);
   t.validate_labels();
   return t;
 }
 
 V2Sections split_v2(std::string_view bytes) {
-  std::istringstream is{std::string(bytes)};
+  trace::Trace t;
+  const std::vector<std::size_t> cuts = decode(bytes, t);
   V2Sections out;
-  ChunkReader r(is);
-  auto pos = static_cast<std::size_t>(is.tellg());
-  out.header = std::string(bytes.substr(0, pos));
-  ChunkRecords c;
-  while (r.next(c)) {
-    const auto end = static_cast<std::size_t>(is.tellg());
-    out.chunks.emplace_back(bytes.substr(pos, end - pos));
-    pos = end;
+  out.header = bytes.substr(0, cuts.front());
+  for (std::size_t i = 1; i < cuts.size(); ++i) {
+    out.chunks.emplace_back(bytes.substr(cuts[i - 1], cuts[i] - cuts[i - 1]));
   }
-  out.trailer = std::string(bytes.substr(pos));
+  out.trailer = bytes.substr(cuts.back());
   return out;
 }
 

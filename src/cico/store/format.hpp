@@ -44,9 +44,11 @@
 // makes content-addressing sound.  Epoch groups with no records are
 // simply absent (first_epoch skips them).
 //
-// ChunkWriter/ChunkReader stream one chunk at a time, so
-// `--stream-epochs`-style O(1)-memory consumers never materialize the
-// whole trace; save_v2/load_v2 are the whole-trace conveniences on top.
+// The codec works on whole buffers: encode_v2 appends varints to one
+// std::string, and the decoder walks one cursor over a std::string_view,
+// noting where each section ends, so split_v2 is the same parse plus cuts
+// at those offsets.  save_v2/load_v2 are the std::ostream/std::istream
+// edges: one write out, one whole-stream read in.
 #pragma once
 
 #include <cstdint>
@@ -65,86 +67,19 @@ inline constexpr EpochId kDefaultEpochsPerChunk = 1;
 /// True when `bytes` starts with the v2 magic.
 [[nodiscard]] bool is_v2(std::string_view bytes);
 
-/// One decoded chunk: the records of epochs [first_epoch,
-/// first_epoch + epochs), in canonical order.
-struct ChunkRecords {
-  EpochId first_epoch = 0;
-  EpochId epochs = 0;
-  std::vector<trace::MissRecord> misses;
-  std::vector<trace::BarrierRecord> barriers;
-  std::string hash_hex;  ///< content hash of the encoded payload
-};
+/// The v2 bytes of the canonical form of `t` (record order is sorted
+/// first; see trace::canonicalize -- within-epoch order carries no
+/// semantics), in chunks of `epochs_per_chunk` epochs (0 means 1).
+[[nodiscard]] std::string encode_v2(
+    const trace::Trace& t, EpochId epochs_per_chunk = kDefaultEpochsPerChunk);
 
-/// Streaming v2 writer.  Records must arrive in nondecreasing epoch order
-/// (the simulator's TraceWriter and save_v2 both satisfy this); memory is
-/// O(one epoch group).  Call finish() exactly once -- it flushes the
-/// final chunk and writes the end marker and trailer.
-class ChunkWriter {
- public:
-  ChunkWriter(std::ostream& os, std::vector<trace::RegionLabel> labels,
-              EpochId epochs_per_chunk = kDefaultEpochsPerChunk);
-
-  void add(const trace::MissRecord& m);
-  void add(const trace::BarrierRecord& b);
-  void finish();
-
-  [[nodiscard]] std::uint64_t chunks_written() const { return chunks_; }
-
- private:
-  void advance_to(EpochId epoch);
-  void flush_group(bool final_chunk);
-
-  std::ostream& os_;
-  EpochId k_;
-  EpochId group_first_ = 0;  ///< first epoch of the open group
-  std::vector<trace::MissRecord> misses_;
-  std::vector<trace::BarrierRecord> barriers_;
-  std::uint64_t total_misses_ = 0;
-  std::uint64_t total_barriers_ = 0;
-  std::uint64_t chunks_ = 0;
-  bool finished_ = false;
-};
-
-/// Streaming v2 reader.  The constructor parses and validates the header;
-/// next() decodes one chunk (false once the end marker and trailer have
-/// been validated, including the no-trailing-junk check).  Every
-/// structural violation throws std::runtime_error with a `trace:` prefix.
-class ChunkReader {
- public:
-  explicit ChunkReader(std::istream& is);
-
-  [[nodiscard]] const std::vector<trace::RegionLabel>& labels() const {
-    return labels_;
-  }
-  [[nodiscard]] EpochId epochs_per_chunk() const { return k_; }
-
-  bool next(ChunkRecords& out);
-
-  /// Totals, valid once next() has returned false.
-  [[nodiscard]] std::uint64_t chunks() const { return chunks_; }
-  [[nodiscard]] std::uint64_t misses() const { return misses_; }
-  [[nodiscard]] std::uint64_t barriers() const { return barriers_; }
-
- private:
-  std::istream& is_;
-  std::vector<trace::RegionLabel> labels_;
-  EpochId k_ = 1;
-  bool done_ = false;
-  bool have_prev_ = false;
-  EpochId prev_first_ = 0;
-  EpochId prev_span_ = 0;
-  EpochId prev_last_epoch_ = 0;  ///< max record epoch in the previous chunk
-  std::uint64_t chunks_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t barriers_ = 0;
-};
-
-/// Serializes the canonical form of `t` (record order is sorted first;
-/// see trace::canonicalize -- within-epoch order carries no semantics).
+/// encode_v2, written to `os`.
 void save_v2(const trace::Trace& t, std::ostream& os,
              EpochId epochs_per_chunk = kDefaultEpochsPerChunk);
 
-/// Loads a complete v2 stream (labels validated, trailing junk rejected).
+/// Decodes and validates everything left in `is` as one complete v2
+/// stream (labels validated, trailing junk rejected).  Every structural
+/// violation throws std::runtime_error with a `trace:` prefix.
 [[nodiscard]] trace::Trace load_v2(std::istream& is);
 
 /// A v2 byte stream split at its natural object boundaries: the header,

@@ -162,17 +162,16 @@ PutStats ObjectStore::put(const std::string& name, std::string_view bytes) {
   // is a blob.  Text goes through its strict loader, so a malformed text
   // trace fails the put with a `trace:` error instead of being stored as
   // an opaque blob.
-  std::string v2;
+  std::string from_text;
+  std::string_view v2;
   ArtifactKind kind = ArtifactKind::Blob;
   if (is_text_trace(bytes)) {
     std::istringstream is{std::string(bytes)};
-    const trace::Trace t = trace::load_text(is);
-    std::ostringstream os;
-    save_v2(t, os);
-    v2 = os.str();
+    from_text = encode_v2(trace::load_text(is));
+    v2 = from_text;
     kind = ArtifactKind::TraceV2;
   } else if (is_v2(bytes)) {
-    v2.assign(bytes);
+    v2 = bytes;
     kind = ArtifactKind::TraceV2;
   }
 

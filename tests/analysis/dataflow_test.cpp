@@ -1,8 +1,6 @@
 // Unit tests for the cico::analysis dataflow framework: CfgInfo
-// orderings, dominators / back edges / reducibility on the CFG shapes
-// the typestate checker relies on (loops guarded by ifs, nested
-// barriers), the base analyses, and widening termination on an
-// infinite-height domain.
+// orderings, shared-access extraction, and the worklist solver's
+// fixpoint around a loop.
 #include "cico/analysis/dataflow.hpp"
 
 #include <gtest/gtest.h>
@@ -48,9 +46,7 @@ TEST(CfgInfoTest, RpoStartsAtEntryAndCoversReachableBlocks) {
   for (std::uint32_t i = 0; i < info.rpo.size(); ++i) {
     EXPECT_EQ(info.rpo_pos[info.rpo[i]], i);
   }
-  // Straight-line program: no headers, exactly one exit, the Cfg's exit.
-  EXPECT_TRUE(std::none_of(info.is_header.begin(), info.is_header.end(),
-                           [](bool h) { return h; }));
+  // Straight-line program: exactly one exit, the Cfg's exit.
   ASSERT_EQ(info.exits.size(), 1u);
   EXPECT_EQ(info.exits[0], cfg.exit());
   EXPECT_TRUE(cfg.blocks()[cfg.exit()].succ.empty());
@@ -82,121 +78,6 @@ TEST(CfgInfoTest, PredEdgesMirrorSuccEdges) {
   }
 }
 
-TEST(DominatorsTest, DiamondJoinIsDominatedByCondOnly) {
-  Program p = lang::parse(R"(
-    parallel
-      if pid == 0 then
-        compute 1;
-      else
-        compute 2;
-      fi
-      compute 3;
-    end
-  )");
-  Cfg cfg(p);
-  CfgInfo info(cfg);
-  Dominators dom(cfg, info);
-  const std::uint32_t cond = block_of(cfg, p.body[0]->id);
-  const std::uint32_t then_b = block_of(cfg, p.body[0]->body[0]->id);
-  const std::uint32_t else_b = block_of(cfg, p.body[0]->else_body[0]->id);
-  const std::uint32_t join = block_of(cfg, p.body[1]->id);
-  EXPECT_TRUE(dom.dominates(cond, then_b));
-  EXPECT_TRUE(dom.dominates(cond, else_b));
-  EXPECT_TRUE(dom.dominates(cond, join));
-  EXPECT_FALSE(dom.dominates(then_b, join));
-  EXPECT_FALSE(dom.dominates(else_b, join));
-  EXPECT_EQ(dom.idom(join), cond);
-  EXPECT_TRUE(dom.back_edges().empty());
-  EXPECT_TRUE(dom.is_reducible());
-}
-
-TEST(DominatorsTest, LoopHeaderDominatesBodyAndOwnsTheBackEdge) {
-  Program p = lang::parse(R"(
-    shared real A[8];
-    parallel
-      for i = 0 to 7 do
-        A[0] = i;
-      od
-    end
-  )");
-  Cfg cfg(p);
-  CfgInfo info(cfg);
-  Dominators dom(cfg, info);
-  const std::uint32_t header = block_of(cfg, p.body[0]->id);
-  const std::uint32_t body = block_of(cfg, p.body[0]->body[0]->id);
-  EXPECT_TRUE(info.is_header[header]);
-  EXPECT_TRUE(dom.dominates(header, body));
-  ASSERT_EQ(dom.back_edges().size(), 1u);
-  EXPECT_EQ(dom.back_edges()[0].second, header);
-  EXPECT_TRUE(dom.dominates(header, dom.back_edges()[0].first));
-  EXPECT_TRUE(dom.is_reducible());
-}
-
-// The "break/continue-ish" shape the typestate checker must survive:
-// conditionally-skipped work and nested barriers inside a loop.  MiniPar
-// has no break statement, so guards around partial bodies are how real
-// programs express early-out iterations.
-TEST(DominatorsTest, GuardedBodyWithNestedBarriersStaysReducible) {
-  Program p = lang::parse(R"(
-    shared real A[8];
-    parallel
-      for i = 0 to 7 do
-        if i % 2 == 0 then
-          A[0] = i;
-        fi
-        barrier;
-        if pid == 0 then
-          A[1] = i;
-        fi
-        barrier;
-      od
-      barrier;
-    end
-  )");
-  Cfg cfg(p);
-  CfgInfo info(cfg);
-  Dominators dom(cfg, info);
-  EXPECT_TRUE(dom.is_reducible());
-  ASSERT_EQ(dom.back_edges().size(), 1u);
-  const std::uint32_t header = block_of(cfg, p.body[0]->id);
-  EXPECT_TRUE(info.is_header[header]);
-  // Every reachable block is dominated by the entry, and every block of
-  // the loop body by the header.
-  for (std::uint32_t b : info.rpo) {
-    EXPECT_TRUE(dom.dominates(cfg.entry(), b));
-  }
-  const std::uint32_t barrier1 = block_of(cfg, p.body[0]->body[1]->id);
-  const std::uint32_t barrier2 = block_of(cfg, p.body[0]->body[3]->id);
-  EXPECT_TRUE(dom.dominates(header, barrier1));
-  EXPECT_TRUE(dom.dominates(header, barrier2));
-  EXPECT_TRUE(dom.dominates(barrier1, barrier2));
-}
-
-TEST(DominatorsTest, NestedLoopsYieldOneBackEdgeEach) {
-  Program p = lang::parse(R"(
-    parallel
-      for i = 0 to 3 do
-        for j = 0 to 3 do
-          compute 1;
-          barrier;
-        od
-        barrier;
-      od
-    end
-  )");
-  Cfg cfg(p);
-  CfgInfo info(cfg);
-  Dominators dom(cfg, info);
-  EXPECT_TRUE(dom.is_reducible());
-  ASSERT_EQ(dom.back_edges().size(), 2u);
-  const std::uint32_t outer = block_of(cfg, p.body[0]->id);
-  const std::uint32_t inner = block_of(cfg, p.body[0]->body[0]->id);
-  EXPECT_TRUE(info.is_header[outer]);
-  EXPECT_TRUE(info.is_header[inner]);
-  EXPECT_TRUE(dom.dominates(outer, inner));
-  EXPECT_FALSE(dom.dominates(inner, outer));
-}
-
 TEST(SharedAccessTest, ReadsBeforeWriteAndSubscriptReads) {
   Program p = lang::parse(R"(
     shared real A[8];
@@ -220,116 +101,7 @@ TEST(SharedAccessTest, ReadsBeforeWriteAndSubscriptReads) {
   EXPECT_TRUE(accs[2].write);
 }
 
-TEST(ReachingDefsTest, DefsMergeAtLoopHeaderAndKillInStraightLine) {
-  Program p = lang::parse(R"(
-    shared real A[8];
-    parallel
-      private x = 0;
-      private y = 1;
-      x = 2;
-      for i = 0 to 3 do
-        x = i;
-      od
-      A[0] = x;
-    end
-  )");
-  Cfg cfg(p);
-  CfgInfo info(cfg);
-  ReachingDefs rd(p, cfg, info);
-  const AstId def0 = p.body[0]->id;      // private x = 0 (killed)
-  const AstId def2 = p.body[2]->id;      // x = 2
-  const AstId defloop = p.body[3]->body[0]->id;  // x = i
-  const std::uint32_t header = block_of(cfg, p.body[3]->id);
-  const std::uint32_t after = block_of(cfg, p.body[4]->id);
-  // At the loop header both the pre-loop def and the loop def may reach.
-  const auto& at_header = rd.reaching_in(header, "x");
-  EXPECT_TRUE(at_header.count(def2));
-  EXPECT_TRUE(at_header.count(defloop));
-  EXPECT_FALSE(at_header.count(def0));  // killed by x = 2
-  // Same set flows to the loop exit.
-  const auto& at_after = rd.reaching_in(after, "x");
-  EXPECT_TRUE(at_after.count(def2));
-  EXPECT_TRUE(at_after.count(defloop));
-  // Unknown variables come back empty rather than throwing.
-  EXPECT_TRUE(rd.reaching_in(after, "zzz").empty());
-  EXPECT_FALSE(rd.reaching_in(after, "y").empty());
-}
-
-TEST(LiveSharedArraysTest, LiveBeforeUseKilledByBarrier) {
-  Program p = lang::parse(R"(
-    shared real A[8];
-    shared real B[8];
-    parallel
-      compute 1;
-      A[0] = 1;
-      barrier;
-      compute 2;
-      B[0] = 2;
-    end
-  )");
-  Cfg cfg(p);
-  CfgInfo info(cfg);
-  LiveSharedArrays live(p, cfg, info);
-  const std::uint32_t first = block_of(cfg, p.body[0]->id);
-  const std::uint32_t second = block_of(cfg, p.body[3]->id);
-  const auto a = static_cast<std::uint32_t>(live.arrays().index_of("A"));
-  const auto b = static_cast<std::uint32_t>(live.arrays().index_of("B"));
-  EXPECT_TRUE(live.live_in(first, a));
-  // B's use is beyond the barrier: dead at the top of the first epoch.
-  EXPECT_FALSE(live.live_in(first, b));
-  EXPECT_TRUE(live.live_in(second, b));
-  EXPECT_FALSE(live.live_in(second, a));
-}
-
-// Infinite-ascending-chain domain: a saturating counter incremented once
-// per block.  Around a loop the header input keeps growing, so only the
-// widening hook lets the solver reach a fixpoint quickly.
-struct CounterDomain {
-  using State = long;
-  static constexpr long kBottom = -1;
-  static constexpr long kTop = 1000000;
-
-  [[nodiscard]] State init() const { return kBottom; }
-  [[nodiscard]] State boundary() const { return 0; }
-  bool join(State& into, const State& from) const {
-    if (from > into) {
-      into = from;
-      return true;
-    }
-    return false;
-  }
-  bool widen(State& into, const State& from) const {
-    if (from > into) {
-      into = kTop;  // jump straight to the chain's limit
-      return true;
-    }
-    return false;
-  }
-  void transfer(std::uint32_t, State& s) const {
-    if (s >= 0 && s < kTop) s += 1;
-  }
-};
-
-TEST(SolverTest, WideningTerminatesInfiniteChainAtLoopHeader) {
-  Program p = lang::parse(R"(
-    parallel
-      for i = 0 to 3 do
-        compute 1;
-      od
-    end
-  )");
-  Cfg cfg(p);
-  CfgInfo info(cfg);
-  const CounterDomain dom;
-  const auto sol = solve(info, dom, Direction::Forward, /*widen_after=*/3);
-  const std::uint32_t header = block_of(cfg, p.body[0]->id);
-  EXPECT_EQ(sol.in[header], CounterDomain::kTop);
-  // Downstream of the widened header everything saturates too.
-  EXPECT_EQ(sol.in[cfg.exit()], CounterDomain::kTop);
-}
-
-// Finite may-bitmask domain whose widen() is just join(): the widening
-// threshold must not change its fixpoint.
+// Finite may-bitmask domain: which shared arrays some path has accessed.
 struct SeenDomain {
   using State = int;  // -1 bottom, else bitmask of accessed arrays
 
@@ -348,7 +120,6 @@ struct SeenDomain {
     }
     return false;
   }
-  bool widen(State& into, const State& from) const { return join(into, from); }
   void transfer(std::uint32_t block, State& s) const {
     if (s < 0) return;
     for (AstId id : cfg->blocks()[block].stmts) {
@@ -361,7 +132,7 @@ struct SeenDomain {
   }
 };
 
-TEST(SolverTest, FiniteDomainUnaffectedByWidening) {
+TEST(SolverTest, MayFactsFlowAroundTheLoopBackEdge) {
   Program p = lang::parse(R"(
     shared real A[8];
     shared real B[8];
@@ -378,13 +149,11 @@ TEST(SolverTest, FiniteDomainUnaffectedByWidening) {
   const StmtIndex stmts(p);
   const SharedArrays arrays(p);
   const SeenDomain dom{&cfg, &stmts, &arrays};
-  const auto plain = solve(info, dom, Direction::Forward, /*widen_after=*/0);
-  const auto widened = solve(info, dom, Direction::Forward, /*widen_after=*/1);
-  ASSERT_EQ(plain.in.size(), widened.in.size());
-  for (std::size_t b = 0; b < plain.in.size(); ++b) {
-    EXPECT_EQ(plain.in[b], widened.in[b]) << "block " << b;
-    EXPECT_EQ(plain.out[b], widened.out[b]) << "block " << b;
-  }
+  const auto sol = solve(info, dom, Direction::Forward);
+  EXPECT_EQ(sol.in[cfg.entry()], 0);
+  // A's write in the body reaches the loop header over the back edge.
+  EXPECT_EQ(sol.in[block_of(cfg, p.body[0]->id)], 1);
+  EXPECT_EQ(sol.out[cfg.exit()], 3);
 }
 
 }  // namespace

@@ -98,25 +98,37 @@ TEST(FaultSpecTest, RejectsMalformedSpecs) {
 
 TEST(FaultInjectorTest, SameSeedSameFates) {
   const FaultSpec spec = FaultSpec::parse("drop=0.1,dup=0.05,delay=0.2:30");
-  auto draw = [&](std::uint64_t seed) {
+  // Message i travels node i%4 -> (i+1)%4, sent at cycle 10*i, block i/3.
+  const auto fate_of = [](FaultInjector& inj, int i) {
+    const auto f = inj.fate_at(MsgType::Request, /*droppable=*/true,
+                               static_cast<NodeId>(i % 4),
+                               static_cast<NodeId>((i + 1) % 4),
+                               static_cast<Cycle>(10 * i),
+                               static_cast<Block>(i / 3));
+    return (f.dropped ? 1 : 0) | (f.duplicated ? 2 : 0) |
+           (f.delay != 0 ? 4 : 0);
+  };
+  auto draw = [&](std::uint64_t seed, bool reversed) {
     FaultSpec s = spec;
     s.seed = seed;
     FaultInjector inj(s);
-    std::vector<int> fates;
-    for (int i = 0; i < 1000; ++i) {
-      const auto f = inj.fate(MsgType::Request, /*droppable=*/true);
-      fates.push_back((f.dropped ? 1 : 0) | (f.duplicated ? 2 : 0) |
-                      (f.delay != 0 ? 4 : 0));
+    std::vector<int> fates(1000);
+    for (int n = 0; n < 1000; ++n) {
+      const int i = reversed ? 999 - n : n;
+      fates[static_cast<std::size_t>(i)] = fate_of(inj, i);
     }
     return fates;
   };
-  EXPECT_EQ(draw(42), draw(42));
-  EXPECT_NE(draw(42), draw(43));
+  EXPECT_EQ(draw(42, false), draw(42, false));
+  EXPECT_NE(draw(42, false), draw(43, false));
+  // A verdict depends on the message, not on when it is drawn.
+  EXPECT_EQ(draw(42, false), draw(42, true));
 }
 
 TEST(FaultInjectorTest, DroppedMessageIsNeitherDuplicatedNorDelayed) {
   FaultInjector inj(FaultSpec::parse("drop=1.0,dup=1.0,delay=1.0:5"));
-  const auto f = inj.fate(MsgType::Request, /*droppable=*/true);
+  const auto f = inj.fate_at(MsgType::Request, /*droppable=*/true, 0, 1, 100,
+                             7);
   EXPECT_TRUE(f.dropped);
   EXPECT_FALSE(f.duplicated);
   EXPECT_EQ(f.delay, 0u);
@@ -127,7 +139,8 @@ TEST(FaultInjectorTest, DroppedMessageIsNeitherDuplicatedNorDelayed) {
 
 TEST(FaultInjectorTest, ReliableLegsAreNeverDropped) {
   FaultInjector inj(FaultSpec::parse("drop=1.0,dup=1.0,delay=1.0:5"));
-  const auto f = inj.fate(MsgType::PrefetchReply, /*droppable=*/false);
+  const auto f = inj.fate_at(MsgType::PrefetchReply, /*droppable=*/false, 1,
+                             0, 100, 7);
   EXPECT_FALSE(f.dropped);
   EXPECT_TRUE(f.duplicated);   // dup/delay still apply to reliable legs
   EXPECT_EQ(f.delay, 5u);
@@ -136,10 +149,10 @@ TEST(FaultInjectorTest, ReliableLegsAreNeverDropped) {
 
 TEST(FaultInjectorTest, HandlerStall) {
   FaultInjector always(FaultSpec::parse("stall=1.0:200"));
-  EXPECT_EQ(always.handler_stall(), 200u);
+  EXPECT_EQ(always.handler_stall_at(7, 0, 100), 200u);
   EXPECT_EQ(always.stalls(), 1u);
   FaultInjector never(FaultSpec{});
-  EXPECT_EQ(never.handler_stall(), 0u);
+  EXPECT_EQ(never.handler_stall_at(7, 0, 100), 0u);
   EXPECT_EQ(never.stalls(), 0u);
 }
 

@@ -26,10 +26,6 @@ TEST(CfgTest, LoopNesting) {
   EXPECT_EQ(cfg.loop_of(outer), 0u);
   const AstId assign = p.body[0]->body[0]->body[0]->id;
   EXPECT_EQ(cfg.loop_of(assign), inner);
-  EXPECT_EQ(cfg.depth_of(assign), 2);
-  EXPECT_TRUE(cfg.nested_in(assign, outer));
-  EXPECT_TRUE(cfg.nested_in(assign, inner));
-  EXPECT_FALSE(cfg.nested_in(outer, inner));
 }
 
 TEST(CfgTest, BarriersRecordedInOrder) {

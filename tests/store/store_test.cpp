@@ -136,32 +136,56 @@ TEST(FormatV2Test, AgreesWithTextCodec) {
   EXPECT_EQ(via_text.labels, via_v2.labels);
 }
 
-TEST(FormatV2Test, StreamingReaderSkipsEmptyEpochGroups) {
-  const trace::Trace t = sample_trace();  // epochs 0,1,3,4 -- 2 is empty
-  std::istringstream is(v2_bytes(t, /*epochs_per_chunk=*/1));
-  ChunkReader r(is);
-  EXPECT_EQ(r.labels(), t.labels);
+/// The first_epoch field of each chunk split_v2 cuts from `bytes`.
+std::vector<EpochId> chunk_first_epochs(const std::string& bytes) {
   std::vector<EpochId> firsts;
-  ChunkRecords c;
-  while (r.next(c)) {
-    firsts.push_back(c.first_epoch);
-    EXPECT_FALSE(c.hash_hex.empty());
-    EXPECT_FALSE(c.misses.empty() && c.barriers.empty());
+  for (const std::string& c : split_v2(bytes).chunks) {
+    EXPECT_EQ(c.front(), '\x01');  // chunk tag, then first_epoch
+    std::size_t pos = 1;
+    firsts.push_back(static_cast<EpochId>(common::get_varint(c, pos)));
   }
-  EXPECT_EQ(firsts, (std::vector<EpochId>{0, 1, 3, 4}));
-  EXPECT_EQ(r.chunks(), 4u);
-  EXPECT_EQ(r.misses(), t.misses.size());
-  EXPECT_EQ(r.barriers(), t.barriers.size());
+  return firsts;
+}
+
+TEST(FormatV2Test, SplitSkipsEmptyEpochGroups) {
+  // Epochs 0,1,3,4 hold records; 2 is empty and gets no chunk.
+  EXPECT_EQ(chunk_first_epochs(v2_bytes(sample_trace(), 1)),
+            (std::vector<EpochId>{0, 1, 3, 4}));
 }
 
 TEST(FormatV2Test, EpochsPerChunkGroups) {
-  std::istringstream is(v2_bytes(sample_trace(), /*epochs_per_chunk=*/4));
-  ChunkReader r(is);
-  EXPECT_EQ(r.epochs_per_chunk(), 4u);
-  ChunkRecords c;
-  std::vector<EpochId> firsts;
-  while (r.next(c)) firsts.push_back(c.first_epoch);
-  EXPECT_EQ(firsts, (std::vector<EpochId>{0, 4}));  // [0,4) and [4,5)
+  // [0,4) and [4,5).
+  EXPECT_EQ(chunk_first_epochs(v2_bytes(sample_trace(), 4)),
+            (std::vector<EpochId>{0, 4}));
+}
+
+TEST(FormatV2Test, EveryOneBitMutationFailsCleanlyOrRoundTrips) {
+  // The decoder either rejects a mutated stream with a `trace:` error or
+  // accepts exactly the bytes its decoded trace encodes to (a flipped
+  // label character is still a valid stream); it never crashes.
+  for (const EpochId k : {1u, 4u}) {
+    const std::string bytes = v2_bytes(sample_trace(), k);
+    ASSERT_GT(split_v2(bytes).chunks.size(), 1u);
+    for (std::size_t off = 0; off < bytes.size(); ++off) {
+      for (const int bit : {0x01, 0x80}) {
+        std::string mutated = bytes;
+        mutated[off] = static_cast<char>(mutated[off] ^ bit);
+        try {
+          const trace::Trace t = load_v2_bytes(mutated);
+          // Accepted, so the header is intact up to K (magic, version 2).
+          std::size_t pos = sizeof(kV2Magic) + 1;
+          const auto k_read =
+              static_cast<EpochId>(common::get_varint(mutated, pos));
+          EXPECT_EQ(v2_bytes(t, k_read), mutated)
+              << "k=" << k << " off=" << off << " bit=" << bit;
+        } catch (const std::runtime_error& e) {
+          EXPECT_EQ(std::string(e.what()).rfind("trace:", 0), 0u)
+              << "k=" << k << " off=" << off << " bit=" << bit << ": "
+              << e.what();
+        }
+      }
+    }
+  }
 }
 
 TEST(FormatV2Test, SplitSectionsConcatenateToInput) {
@@ -234,9 +258,9 @@ TEST(FormatV2Test, RejectsBadMagicAndVersion) {
 
 /// Minimal-length LEB128 of v, as raw bytes.
 std::string enc(std::uint64_t v) {
-  std::ostringstream ss;
-  common::put_varint(ss, v);
-  return ss.str();
+  std::string s;
+  common::put_varint(s, v);
+  return s;
 }
 
 /// The v2 magic followed by `rest` (version, K, labels, ...).
@@ -244,13 +268,14 @@ std::string v2_header(const std::string& rest) {
   return std::string(kV2Magic, sizeof(kV2Magic)) + rest;
 }
 
-/// A complete stream holding one chunk with `payload` verbatim.
+/// A complete stream (K = 1) holding one chunk for epoch `first` with
+/// `payload` verbatim.
 std::string v2_one_chunk(const std::string& payload, std::uint64_t misses,
-                         std::uint64_t barriers) {
+                         std::uint64_t barriers, EpochId first = 0) {
   common::ContentHasher h;
   h << payload;
   const auto digest = h.digest();
-  return v2_header(enc(2) + enc(1) + enc(0)) + '\x01' + enc(0) + enc(1) +
+  return v2_header(enc(2) + enc(1) + enc(0)) + '\x01' + enc(first) + enc(1) +
          enc(payload.size()) +
          std::string(reinterpret_cast<const char*>(digest.data()),
                      digest.size()) +
@@ -317,6 +342,19 @@ TEST(FormatV2HostileTest, RejectsOutOfRangeFields) {
   expect_trace_error(barrier_with(0), "record epoch outside chunk");
   expect_trace_error(barrier_with(1), "node out of range");
   expect_trace_error(barrier_with(2), "barrier pc out of range");
+}
+
+TEST(FormatV2HostileTest, RejectsEpochDeltaThatWrapsBackIntoRange) {
+  // In the chunk for epoch 1, a delta of 2^64 - 1 would wrap the record
+  // epoch to 0: before the chunk, where the encoder never puts it.
+  const std::uint64_t wrap = ~0ULL;
+  const std::string miss = enc(wrap) + enc(1) + enc(0) + enc(0x2000) +
+                           enc(8) + enc(3);
+  expect_trace_error(v2_one_chunk(enc(1) + miss + enc(0), 1, 0, 1),
+                     "record epoch outside chunk");
+  const std::string bar = enc(wrap) + enc(1) + enc(7) + enc(555 << 1);
+  expect_trace_error(v2_one_chunk(enc(0) + enc(1) + bar, 0, 1, 1),
+                     "record epoch outside chunk");
 }
 
 TEST(FormatV2HostileTest, RejectsBadMissKind) {
