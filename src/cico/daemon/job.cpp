@@ -1,7 +1,6 @@
 #include "cico/daemon/job.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -18,7 +17,6 @@
 #include "cico/lang/unparse.hpp"
 #include "cico/obs/collector.hpp"
 #include "cico/obs/report.hpp"
-#include "cico/obs/stream.hpp"
 #include "cico/sim/machine.hpp"
 #include "cico/sim/plan_io.hpp"
 #include "cico/srcann/annotator.hpp"
@@ -34,7 +32,6 @@ struct Ctx {
   const JobRequest& req;
   const lang::Program& prog;
   const std::atomic<bool>* cancel;
-  const std::string& stream_report;
 };
 
 /// A measured run's configuration; jobs always simulate Dir1SW.
@@ -104,25 +101,17 @@ std::string format_run_stats(const sim::Machine& m,
 }
 
 /// Observation of one measured run: a Collector only when the request
-/// asked for something it feeds, plus the in-process epoch sidecar.
+/// asked for something it feeds.
 struct Observed {
   std::unique_ptr<obs::Collector> col;
-  std::unique_ptr<obs::EpochStreamWriter> stream;
   obs::Json run;
-  std::string splice_id;
 };
 
-Observed observe(const Ctx& c, bool events, std::size_t index) {
+Observed observe(const Ctx& c, bool events) {
   Observed o;
-  o.splice_id = "epochs" + std::to_string(index);
   if (!c.req.cfg.want_report && !events) return o;
   o.col = std::make_unique<obs::Collector>();
   o.col->set_events_enabled(events);
-  if (c.req.cfg.want_report && !c.stream_report.empty()) {
-    o.stream = std::make_unique<obs::EpochStreamWriter>(c.stream_report +
-                                                        "." + o.splice_id);
-    o.col->set_epoch_sink(o.stream.get());
-  }
   return o;
 }
 
@@ -139,7 +128,7 @@ Cycle measure(const Ctx& c, const lang::Program& prog,
   m.run([&](sim::Proc& p) { lp.run_node(p); });
   if (o.col != nullptr) {
     o.run = obs::run_json(name, m.exec_time(), m.epochs_completed(),
-                          m.stats(), m.network(), *o.col, o.splice_id);
+                          m.stats(), m.network(), *o.col);
   }
   r.out += format_run_stats(m, cfg);
   char line[128];
@@ -152,9 +141,7 @@ Cycle measure(const Ctx& c, const lang::Program& prog,
 }
 
 /// Renders the events of the last run into r.events and the report of
-/// `runs` (a compare when there are two) into r.report -- or, when
-/// streaming, straight into the local report file with each sidecar
-/// spliced back in.
+/// `runs` (a compare when there are two) into r.report.
 void emit(const Ctx& c, std::string_view kind, const sim::SimConfig& cfg,
           const std::vector<Observed*>& runs, JobResult& r) {
   const JobConfig& jc = c.req.cfg;
@@ -172,17 +159,7 @@ void emit(const Ctx& c, std::string_view kind, const sim::SimConfig& cfg,
   obs::Json rep = obs::make_report(
       kind, obs::config_json(cfg, "dir1sw", jc.faults), std::move(run_docs));
   if (runs.size() == 2) rep.set("comparison", cmp);
-  if (c.stream_report.empty()) {
-    r.report = rep.dump_string();
-    return;
-  }
-  std::ofstream out(c.stream_report);
-  if (!out) throw std::runtime_error("cannot write " + c.stream_report);
-  rep.dump(out, [&](std::ostream& os, std::string_view id) {
-    for (Observed* o : runs) {
-      if (o->splice_id == id) o->stream->splice_into(os);
-    }
-  });
+  r.report = rep.dump_string();
 }
 
 void do_annotate(const Ctx& c, JobResult& r) {
@@ -257,7 +234,7 @@ void do_run(const Ctx& c, JobResult& r) {
     pp = &plan;
   }
   const sim::SimConfig cfg = sim_config(c.req.cfg);
-  Observed o = observe(c, c.req.cfg.want_events, 0);
+  Observed o = observe(c, c.req.cfg.want_events);
   measure(c, c.prog, cfg, pp, o, "run", r);
   emit(c, "run", cfg, {&o}, r);
 }
@@ -266,9 +243,9 @@ void do_compare(const Ctx& c, JobResult& r) {
   const srcann::AnnotateResult res = trace_annotate(c);
   const lang::Program annotated = lang::parse(lang::unparse(res.program));
   const sim::SimConfig cfg = sim_config(c.req.cfg);
-  Observed base = observe(c, false, 0);
+  Observed base = observe(c, false);
   // --events on compare exports the ANNOTATED run (one trace per file).
-  Observed anno = observe(c, c.req.cfg.want_events, 1);
+  Observed anno = observe(c, c.req.cfg.want_events);
   r.out = "-- unannotated --\n";
   const Cycle t_base = measure(c, c.prog, cfg, nullptr, base, "baseline", r);
   r.out += "-- " + std::string(cachier::mode_name(c.req.cfg.mode)) +
@@ -350,8 +327,7 @@ std::string cache_key(const JobRequest& req) {
   return h.hex();
 }
 
-JobResult run_job(const JobRequest& req, const std::atomic<bool>* cancel,
-                  const std::string& stream_report) {
+JobResult run_job(const JobRequest& req, const std::atomic<bool>* cancel) {
   JobResult r;
   if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
     r.cancelled = true;
@@ -365,7 +341,7 @@ JobResult run_job(const JobRequest& req, const std::atomic<bool>* cancel,
       throw std::runtime_error("unknown job command: " + req.command);
     }
     const lang::Program prog = lang::parse(req.source);
-    cmd->run(Ctx{req, prog, cancel, stream_report}, r);
+    cmd->run(Ctx{req, prog, cancel}, r);
   } catch (const sim::SimCancelled& e) {
     r = JobResult{};
     r.cancelled = true;

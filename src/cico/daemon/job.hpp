@@ -85,15 +85,8 @@ inline constexpr Payload kPayloads[] = {{"stdout", &JobResult::out},
 /// result comes back cancelled (exit 2, never cacheable).  All other
 /// failures -- parse errors, fault-injection timeouts, deadlocks -- map
 /// to exit 2 with the error message, exactly like the CLI's catch-all.
-///
-/// `stream_report` is for the in-process `--stream-epochs` path only
-/// (cachierd never passes it): the local --report file of a run/compare.
-/// Epoch rows then go to `<stream_report>.epochsN` sidecars as they flush
-/// and the report is written straight to `stream_report` instead of
-/// JobResult::report, so host memory stays O(1) in epoch count.
 [[nodiscard]] JobResult run_job(const JobRequest& req,
-                                const std::atomic<bool>* cancel = nullptr,
-                                const std::string& stream_report = {});
+                                const std::atomic<bool>* cancel = nullptr);
 
 // --- JSON (de)serialization ------------------------------------------------
 

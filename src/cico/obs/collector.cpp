@@ -5,6 +5,25 @@
 
 namespace cico::obs {
 
+namespace {
+
+/// The k blocks with the most traps (count desc, block asc), in a vector
+/// of exactly that size: retained epoch rows hold no spare capacity.
+std::vector<std::pair<Block, std::uint64_t>> hottest(
+    const std::map<Block, std::uint64_t>& traps, std::size_t k) {
+  std::vector<std::pair<Block, std::uint64_t>> all(traps.begin(), traps.end());
+  const auto mid = all.begin() + static_cast<std::ptrdiff_t>(
+                                     std::min(k, all.size()));
+  std::partial_sort(all.begin(), mid, all.end(),
+                    [](const auto& a, const auto& b) {
+                      if (a.second != b.second) return a.second > b.second;
+                      return a.first < b.first;
+                    });
+  return {all.begin(), mid};
+}
+
+}  // namespace
+
 void Collector::on_trap(NodeId req, NodeId home, Block b, Cycle t0, Cycle t1,
                         std::uint32_t invalidations, EpochId epoch) {
   epoch_traps_[b] += 1;
@@ -50,14 +69,7 @@ void Collector::flush_epoch(EpochId epoch, Cycle end_vt, const Stats& stats) {
   prev_messages_ = messages;
   prev_stall_ = stall;
 
-  std::vector<std::pair<Block, std::uint64_t>> hot(epoch_traps_.begin(),
-                                                   epoch_traps_.end());
-  std::sort(hot.begin(), hot.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-  if (hot.size() > top_k_) hot.resize(top_k_);
-  row.hot_blocks = std::move(hot);
+  row.hot_blocks = hottest(epoch_traps_, top_k_);
   epoch_traps_.clear();
 
   if (events_enabled_) {
@@ -65,11 +77,6 @@ void Collector::flush_epoch(EpochId epoch, Cycle end_vt, const Stats& stats) {
                             0, epoch});
   }
   prev_end_vt_ = end_vt;
-  ++rows_flushed_;
-  if (sink_ != nullptr) {
-    sink_->on_row(row);  // streamed, not retained: O(1) memory in epochs
-    return;
-  }
   rows_.push_back(std::move(row));
 }
 
@@ -83,18 +90,11 @@ void Collector::on_run_end(Cycle final_vt, const Stats& stats) {
   // The tail of the run after the last barrier is its own (unclosed) epoch;
   // flush it even when nothing happened so row count == epoch count + 1 and
   // consumers never need a special case for barrier-free programs.
-  flush_epoch(static_cast<EpochId>(rows_flushed_), final_vt, stats);
+  flush_epoch(static_cast<EpochId>(rows_.size()), final_vt, stats);
 }
 
 std::vector<std::pair<Block, std::uint64_t>> Collector::hot_blocks() const {
-  std::vector<std::pair<Block, std::uint64_t>> hot(run_traps_.begin(),
-                                                   run_traps_.end());
-  std::sort(hot.begin(), hot.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-  if (hot.size() > top_k_) hot.resize(top_k_);
-  return hot;
+  return hottest(run_traps_, top_k_);
 }
 
 void Collector::write_chrome_trace(std::ostream& os) const {

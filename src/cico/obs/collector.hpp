@@ -43,15 +43,6 @@ struct EpochRow {
   std::vector<std::pair<Block, std::uint64_t>> hot_blocks;
 };
 
-/// Receives each EpochRow the moment its barrier flush completes.  When a
-/// sink is installed the collector forwards rows instead of retaining them,
-/// so a run's memory stays O(1) in epoch count (see EpochStreamWriter).
-class EpochRowSink {
- public:
-  virtual ~EpochRowSink() = default;
-  virtual void on_row(const EpochRow& row) = 0;
-};
-
 class Collector {
  public:
   explicit Collector(std::size_t top_k = 8) : top_k_(top_k) {}
@@ -60,15 +51,6 @@ class Collector {
   /// off by default, enabled by `--events`.
   void set_events_enabled(bool on) { events_enabled_ = on; }
   [[nodiscard]] bool events_enabled() const { return events_enabled_; }
-
-  /// Streaming mode: forward every flushed EpochRow to `sink` instead of
-  /// buffering it (epochs() then stays empty; rows_flushed() still counts).
-  /// Rows flush at barriers in canonical order, so the streamed sequence
-  /// is byte-identical to the buffered one.  The sink must outlive the run.
-  void set_epoch_sink(EpochRowSink* sink) { sink_ = sink; }
-  [[nodiscard]] bool streaming() const { return sink_ != nullptr; }
-  /// Total rows produced (buffered or streamed).
-  [[nodiscard]] std::size_t rows_flushed() const { return rows_flushed_; }
 
   // --- machine callbacks (virtual time, deterministic order) ---------------
   void on_trap(NodeId req, NodeId home, Block b, Cycle t0, Cycle t1,
@@ -110,8 +92,6 @@ class Collector {
   std::size_t top_k_;
   bool events_enabled_ = false;
   bool finished_ = false;
-  EpochRowSink* sink_ = nullptr;
-  std::size_t rows_flushed_ = 0;
 
   std::vector<EpochRow> rows_;
   std::vector<Event> events_;

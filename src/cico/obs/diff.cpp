@@ -246,7 +246,7 @@ std::string render(const Json* v) {
       return "<array[" + std::to_string(v->size()) + "]>";
     case Json::Type::Object:
       return "<object{" + std::to_string(v->size()) + "}>";
-    case Json::Type::Splice: return "<splice>";
+    case Json::Type::Rendered: return "<rendered>";
   }
   return "?";
 }
@@ -359,7 +359,7 @@ class Differ {
         }
         return;
       }
-      case Json::Type::Splice:
+      case Json::Type::Rendered:
         return;  // never produced by parse()
     }
   }

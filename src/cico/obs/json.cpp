@@ -58,14 +58,20 @@ Json Json::object() {
   return j;
 }
 
-Json Json::splice(std::string id) {
+Json Json::rendered_array() {
   Json j;
-  j.type_ = Type::Splice;
-  j.scalar_ = std::move(id);
+  j.type_ = Type::Rendered;
   return j;
 }
 
 void Json::push_back(Json v) {
+  if (type_ == Type::Rendered) {
+    std::ostringstream os;
+    if (!scalar_.empty()) os << ",\n";
+    v.dump_indented(os, 0);
+    scalar_ += os.view();
+    return;
+  }
   if (type_ != Type::Array) throw std::logic_error("json: push_back on non-array");
   arr_.push_back(std::move(v));
 }
@@ -142,19 +148,31 @@ void put_indent(std::ostream& os, int depth) {
 }
 }  // namespace
 
-void Json::dump_indented(std::ostream& os, int depth,
-                         const SpliceResolver* resolver) const {
+void Json::dump_indented(std::ostream& os, int depth) const {
   switch (type_) {
     case Type::Null: os << "null"; break;
     case Type::Bool: os << (bool_ ? "true" : "false"); break;
     case Type::Number: os << scalar_; break;
     case Type::String: write_json_string(os, scalar_); break;
-    case Type::Splice:
-      if (resolver == nullptr) {
-        throw std::logic_error("json: splice node dumped without a resolver");
+    case Type::Rendered:
+      if (scalar_.empty()) {
+        os << "[]";
+        break;
       }
+      // The element text was dumped at depth 0; shifting every line one
+      // level past the array's own indent gives the canonical layout.
+      // No canonical line is empty and strings escape '\n', so every
+      // newline in the text ends a line.
       os << "[\n";
-      (*resolver)(os, scalar_);
+      for (std::size_t pos = 0; pos <= scalar_.size();) {
+        std::size_t eol = scalar_.find('\n', pos);
+        if (eol == std::string::npos) eol = scalar_.size();
+        put_indent(os, depth + 1);
+        os.write(scalar_.data() + pos,
+                 static_cast<std::streamsize>(eol - pos));
+        os.put('\n');
+        pos = eol + 1;
+      }
       put_indent(os, depth);
       os.put(']');
       break;
@@ -166,7 +184,7 @@ void Json::dump_indented(std::ostream& os, int depth,
       os << "[\n";
       for (std::size_t i = 0; i < arr_.size(); ++i) {
         put_indent(os, depth + 1);
-        arr_[i].dump_indented(os, depth + 1, resolver);
+        arr_[i].dump_indented(os, depth + 1);
         if (i + 1 < arr_.size()) os.put(',');
         os.put('\n');
       }
@@ -183,7 +201,7 @@ void Json::dump_indented(std::ostream& os, int depth,
         put_indent(os, depth + 1);
         write_json_string(os, obj_[i].first);
         os << ": ";
-        obj_[i].second.dump_indented(os, depth + 1, resolver);
+        obj_[i].second.dump_indented(os, depth + 1);
         if (i + 1 < obj_.size()) os.put(',');
         os.put('\n');
       }
@@ -194,23 +212,14 @@ void Json::dump_indented(std::ostream& os, int depth,
 }
 
 void Json::dump(std::ostream& os) const {
-  dump_indented(os, 0, nullptr);
+  dump_indented(os, 0);
   os.put('\n');
-}
-
-void Json::dump(std::ostream& os, const SpliceResolver& resolver) const {
-  dump_indented(os, 0, &resolver);
-  os.put('\n');
-}
-
-void Json::dump_element(std::ostream& os, int depth) const {
-  dump_indented(os, depth, nullptr);
 }
 
 std::string Json::dump_string() const {
   std::ostringstream os;
   dump(os);
-  return os.str();
+  return std::move(os).str();
 }
 
 // ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -23,10 +22,9 @@ class Json {
  public:
   enum class Type : std::uint8_t {
     Null, Bool, Number, String, Array, Object,
-    /// An array whose element bytes live outside the document (streamed to
-    /// a sidecar file); dump() asks a SpliceResolver to emit them.  Never
-    /// produced by parse() -- a dumped document contains only plain JSON.
-    Splice,
+    /// An array that keeps its elements as canonical text, not as nodes
+    /// (see rendered_array()).  Never produced by parse().
+    Rendered,
   };
 
   Json() = default;  // null
@@ -40,14 +38,18 @@ class Json {
   [[nodiscard]] static Json string(std::string s);
   [[nodiscard]] static Json array();
   [[nodiscard]] static Json object();
-  /// Placeholder for an array whose elements were streamed to a sidecar
-  /// (see EpochStreamWriter); `id` names the sidecar for the resolver.
-  [[nodiscard]] static Json splice(std::string id);
+  /// An array whose push_back renders each element once into its
+  /// canonical text and keeps only that text; dump() indents it to where
+  /// the array sits, so the bytes equal those of array() holding the same
+  /// elements.  A long series (a report's epoch rows) then costs its
+  /// report text, not a node tree per element.  Write-only: size() and
+  /// at() see no elements -- parse the dump to read them back.
+  [[nodiscard]] static Json rendered_array();
 
   [[nodiscard]] Type type() const { return type_; }
 
   // --- building ------------------------------------------------------------
-  /// Appends to an array (the value must be an array).
+  /// Appends to an array (the value must be an array or rendered array).
   void push_back(Json v);
   /// Sets a key on an object (insertion-ordered; replaces an existing key).
   void set(std::string_view key, Json v);
@@ -71,37 +73,22 @@ class Json {
   }
 
   // --- serialization -------------------------------------------------------
-  /// Called for each Splice node: must emit the element lines exactly as
-  /// the canonical array dump would (indent + element, ",\n" separators,
-  /// trailing newline after the last element).  EpochStreamWriter's
-  /// sidecars are written in this form, so splice_into() just copies.
-  using SpliceResolver =
-      std::function<void(std::ostream& os, std::string_view id)>;
-
-  /// Canonical multi-line form, 2-space indent per level.  Documents
-  /// holding Splice nodes need the resolver overload; the plain overload
-  /// throws std::logic_error if it meets one.
+  /// Canonical multi-line form, 2-space indent per level.
   void dump(std::ostream& os) const;
-  void dump(std::ostream& os, const SpliceResolver& resolver) const;
   [[nodiscard]] std::string dump_string() const;
-
-  /// Dumps as an array/object element nested `depth` levels deep, without
-  /// a trailing newline -- exactly the bytes dump() would emit for this
-  /// value at that position.  The streaming epoch writer uses this to
-  /// format sidecar rows identically to the embedded path.
-  void dump_element(std::ostream& os, int depth) const;
 
   /// Parses a complete JSON document; rejects trailing junk.  Throws
   /// std::runtime_error with a line:column position on malformed input.
   [[nodiscard]] static Json parse(std::string_view text);
 
  private:
-  void dump_indented(std::ostream& os, int depth,
-                     const SpliceResolver* resolver) const;
+  void dump_indented(std::ostream& os, int depth) const;
 
   Type type_ = Type::Null;
   bool bool_ = false;
-  std::string scalar_;  ///< number lexeme, string payload, or splice id
+  /// Number lexeme, string payload, or a rendered array's element text:
+  /// each element dumped at depth 0, joined by ",\n".
+  std::string scalar_;
   std::vector<Json> arr_;
   std::vector<std::pair<std::string, Json>> obj_;
 };

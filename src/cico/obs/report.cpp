@@ -19,6 +19,19 @@ Json hot_blocks_json(const std::vector<std::pair<Block, std::uint64_t>>& hot) {
   return a;
 }
 
+/// One epoch_series row.
+Json epoch_row_json(const EpochRow& row) {
+  Json e = Json::object();
+  e.set("epoch", Json::number(static_cast<std::uint64_t>(row.epoch)));
+  e.set("end_vt", Json::number(static_cast<std::uint64_t>(row.end_vt)));
+  e.set("misses", Json::number(row.misses));
+  e.set("traps", Json::number(row.traps));
+  e.set("messages", Json::number(row.messages));
+  e.set("stall_cycles", Json::number(row.stall_cycles));
+  e.set("hot_blocks", hot_blocks_json(row.hot_blocks));
+  return e;
+}
+
 std::uint64_t u64_of(const Json& run, std::string_view section,
                      std::string_view key) {
   const Json* s = run.find(section);
@@ -89,21 +102,9 @@ Json config_json(const sim::SimConfig& cfg, std::string_view protocol_name,
   return c;
 }
 
-Json epoch_row_json(const EpochRow& row) {
-  Json e = Json::object();
-  e.set("epoch", Json::number(static_cast<std::uint64_t>(row.epoch)));
-  e.set("end_vt", Json::number(static_cast<std::uint64_t>(row.end_vt)));
-  e.set("misses", Json::number(row.misses));
-  e.set("traps", Json::number(row.traps));
-  e.set("messages", Json::number(row.messages));
-  e.set("stall_cycles", Json::number(row.stall_cycles));
-  e.set("hot_blocks", hot_blocks_json(row.hot_blocks));
-  return e;
-}
-
 Json run_json(std::string_view name, Cycle exec_time, EpochId epochs,
               const Stats& stats, const net::Network& net,
-              const Collector& col, std::string_view series_splice_id) {
+              const Collector& col) {
   Json r = Json::object();
   r.set("name", Json::string(std::string(name)));
   r.set("exec_time", Json::number(static_cast<std::uint64_t>(exec_time)));
@@ -176,17 +177,9 @@ Json run_json(std::string_view name, Cycle exec_time, EpochId epochs,
   faults.set("watchdog_trips", Json::number(stats.total(Stat::WatchdogTrips)));
   r.set("faults", std::move(faults));
 
-  if (col.streaming() && col.rows_flushed() > 0) {
-    // Rows already live in the sink's sidecar; the caller splices their
-    // bytes in at dump time (byte-identical to the embedded path).
-    r.set("epoch_series", Json::splice(std::string(series_splice_id)));
-  } else {
-    Json series = Json::array();
-    for (const EpochRow& row : col.epochs()) {
-      series.push_back(epoch_row_json(row));
-    }
-    r.set("epoch_series", std::move(series));
-  }
+  Json series = Json::rendered_array();
+  for (const EpochRow& row : col.epochs()) series.push_back(epoch_row_json(row));
+  r.set("epoch_series", std::move(series));
   r.set("hot_blocks", hot_blocks_json(col.hot_blocks()));
   return r;
 }

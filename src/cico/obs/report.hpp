@@ -39,20 +39,13 @@ inline constexpr std::uint64_t kReportSchemaMinSupported = 1;
                                std::string_view protocol_name,
                                std::string_view faults_spec);
 
-/// One epoch_series row, exactly as it appears inside a run (shared by the
-/// in-memory path and the streaming epoch writer so both emit identical
-/// bytes).
-[[nodiscard]] Json epoch_row_json(const EpochRow& row);
-
 /// One measured run: counters, cost breakdown, per-directive table, epoch
-/// series, hot blocks.  When the collector streamed its rows to a sink
-/// (Collector::streaming()), `series_splice_id` names the sidecar and
-/// `epoch_series` becomes a Json::splice node the caller resolves at dump
-/// time; otherwise the series is embedded from col.epochs().
+/// series, hot blocks.  The epoch series grows with run length, so its
+/// rows are rendered once into a Json::rendered_array: the run holds
+/// their report text, not one node tree per epoch.
 [[nodiscard]] Json run_json(std::string_view name, Cycle exec_time,
                             EpochId epochs, const Stats& stats,
-                            const net::Network& net, const Collector& col,
-                            std::string_view series_splice_id = {});
+                            const net::Network& net, const Collector& col);
 
 /// Paper Table-2-style effectiveness deltas between a baseline run and an
 /// annotated run (both built by run_json).

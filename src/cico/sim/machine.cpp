@@ -134,8 +134,8 @@ void Machine::schedule() {
     try {
       boundary();
     } catch (...) {
-      // A failing epoch-stream sink, or memory exhaustion: abort like any
-      // other cause so the parked fibers still unwind below.
+      // A throwing observer or trace writer, or memory exhaustion: abort
+      // like any other cause so the parked fibers still unwind below.
       abort_run(std::current_exception(), "boundary phase failed");
     }
     runnable = false;

@@ -158,8 +158,8 @@ EpochId decode_payload(std::string_view payload, EpochId first_epoch,
   return last;
 }
 
-/// Parses and validates a whole v2 stream into `t` (labels are read but
-/// not cross-checked).  Returns the end offset of the header and of every
+/// Parses and validates a whole v2 stream into `t`, region labels
+/// included, so load_v2 and split_v2 refuse the same inputs.  Returns the end offset of the header and of every
 /// chunk: the cuts split_v2 makes.
 std::vector<std::size_t> decode(std::string_view bytes, trace::Trace& t) {
   if (!is_v2(bytes)) fail("bad v2 header");
@@ -243,6 +243,7 @@ std::vector<std::size_t> decode(std::string_view bytes, trace::Trace& t) {
     fail("trailer counts mismatch");
   }
   if (!in.at_end()) fail("trailing junk after trailer");
+  t.validate_labels();
   return cuts;
 }
 
@@ -336,7 +337,6 @@ trace::Trace load_v2(std::istream& is) {
   ss << is.rdbuf();
   trace::Trace t;
   (void)decode(ss.str(), t);
-  t.validate_labels();
   return t;
 }
 

@@ -214,29 +214,10 @@ TEST_F(CliErrorsTest, ReportToUnwritablePathIsExit2) {
 }
 
 TEST_F(CliErrorsTest, StreamEpochsWithoutReportIsUsageExit1) {
+  // The retired --stream-epochs flag is an unknown argument: usage, exit 1.
   const CmdResult r = run_cli("run " + prog_ + " -n 4 --stream-epochs");
   EXPECT_EQ(r.exit_code, 1);
   EXPECT_NE(r.output.find("usage:"), std::string::npos) << r.output;
-}
-
-TEST_F(CliErrorsTest, StreamEpochsWritesIdenticalReportAndCleansSidecar) {
-  ASSERT_EQ(run_cli("run " + prog_ + " -n 4 --report cli_errors_buf.json")
-                .exit_code,
-            0);
-  ASSERT_EQ(run_cli("run " + prog_ +
-                    " -n 4 --report cli_errors_stream.json --stream-epochs")
-                .exit_code,
-            0);
-  std::ifstream a("cli_errors_buf.json");
-  std::ifstream b("cli_errors_stream.json");
-  const std::string buf((std::istreambuf_iterator<char>(a)),
-                        std::istreambuf_iterator<char>());
-  const std::string streamed((std::istreambuf_iterator<char>(b)),
-                             std::istreambuf_iterator<char>());
-  ASSERT_FALSE(buf.empty());
-  EXPECT_EQ(streamed, buf);
-  std::ifstream sidecar("cli_errors_stream.json.epochs0");
-  EXPECT_FALSE(sidecar.good()) << "sidecar left behind";
 }
 
 // --- diff: 0/1/2 outcome contract on the real binary -----------------------

@@ -199,16 +199,13 @@ TEST(DaemonCliStandalone, VersionPrintsSchemaDocument) {
 }
 
 TEST(DaemonCliStandalone, DaemonFlagRejectsLocalOnlySideChannels) {
-  // Epoch streaming writes sidecars next to a local report while the run
-  // is going, so it cannot be served.
-  write_file("daemon_cli_flags.mp", kProgram);
-  const CmdResult r =
-      run_cmd("'" + g_cachier +
-              "' run daemon_cli_flags.mp --daemon /tmp/x.sock "
-              "--report r.json --stream-epochs 2>&1");
+  // trace --load reads a client-local trace file, so it cannot be served;
+  // it is the only local-only flag.  The usage check runs before any
+  // connection attempt, so no daemon is needed.
+  const CmdResult r = run_cmd("'" + g_cachier +
+                              "' trace --load x --daemon /tmp/x.sock 2>&1");
   EXPECT_EQ(r.exit_code, 1);
   EXPECT_NE(r.output.find("usage:"), std::string::npos) << r.output;
-  ::unlink("daemon_cli_flags.mp");
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 // byte-for-byte so consumers can rewrite reports losslessly.
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -14,7 +13,6 @@
 #include "cico/obs/collector.hpp"
 #include "cico/obs/json.hpp"
 #include "cico/obs/report.hpp"
-#include "cico/obs/stream.hpp"
 #include "cico/sim/machine.hpp"
 
 namespace cico::obs {
@@ -77,52 +75,7 @@ RunArtifacts run_once(AppKind app) {
   return out;
 }
 
-/// Same workload, but epoch rows stream through an EpochStreamWriter
-/// sidecar instead of buffering in the Collector; returns the final
-/// report bytes assembled via the splice resolver.
-std::string run_streamed(AppKind app, const std::string& sidecar) {
-  const sim::SimConfig cfg = report_cfg(app);
-  sim::Machine m(cfg);
-  Collector col;
-  EpochStreamWriter writer(sidecar);
-  col.set_epoch_sink(&writer);
-  m.set_observer(&col);
-  std::unique_ptr<apps::App> a = make_app(app);
-  a->setup(m, apps::Variant::None);
-  m.run([&](sim::Proc& p) { a->body(p); });
-
-  EXPECT_TRUE(col.epochs().empty()) << "streaming must not buffer rows";
-  EXPECT_GT(writer.rows(), 0u);
-  EXPECT_EQ(writer.rows(), col.rows_flushed());
-
-  std::vector<Json> runs;
-  runs.push_back(run_json("run", m.exec_time(), m.epochs_completed(),
-                          m.stats(), m.network(), col, "epochs0"));
-  const Json rep =
-      make_report("run", config_json(cfg, "dir1sw", ""), std::move(runs));
-  std::ostringstream os;
-  rep.dump(os, [&](std::ostream& s, std::string_view) {
-    writer.splice_into(s);
-  });
-  return os.str();
-}
-
 class ReportEquiv : public ::testing::TestWithParam<AppKind> {};
-
-TEST_P(ReportEquiv, StreamedEpochSeriesIsByteIdenticalToBuffered) {
-  // O(1)-memory streaming must not change a single report byte (rows flush
-  // at barriers, in canonical order).
-  const RunArtifacts buffered = run_once(GetParam());
-  EXPECT_EQ(run_streamed(GetParam(), ::testing::TempDir() + "epochs.rows"),
-            buffered.report);
-}
-
-TEST_P(ReportEquiv, StreamWriterRemovesItsSidecar) {
-  const std::string sidecar = ::testing::TempDir() + "epochs_tmp.rows";
-  (void)run_streamed(GetParam(), sidecar);
-  std::ifstream left(sidecar);
-  EXPECT_FALSE(left.good()) << "sidecar not cleaned up: " << sidecar;
-}
 
 TEST_P(ReportEquiv, ReportBytesIdenticalAcrossRuns) {
   const RunArtifacts first = run_once(GetParam());
@@ -135,11 +88,52 @@ TEST_P(ReportEquiv, ReportBytesIdenticalAcrossRuns) {
 }
 
 TEST_P(ReportEquiv, ReportParsesAndRoundTripsByteForByte) {
+  // The epoch rows are pre-rendered text; re-dumping the parsed tree
+  // proves that text is in the canonical layout.
   const RunArtifacts art = run_once(GetParam());
   const Json back = Json::parse(art.report);
   EXPECT_EQ(back.dump_string(), art.report);
   // The event export is also well-formed JSON.
   EXPECT_NO_THROW((void)Json::parse(art.events));
+}
+
+TEST_P(ReportEquiv, RenderedEpochSeriesMatchesCollectorRows) {
+  // The rendered series is write-only, so read it back through the dump
+  // and check every row against the collector that produced it.
+  const sim::SimConfig cfg = report_cfg(GetParam());
+  sim::Machine m(cfg);
+  Collector col;
+  m.set_observer(&col);
+  std::unique_ptr<apps::App> a = make_app(GetParam());
+  a->setup(m, apps::Variant::None);
+  m.run([&](sim::Proc& p) { a->body(p); });
+
+  const Json run = Json::parse(
+      run_json("run", m.exec_time(), m.epochs_completed(), m.stats(),
+               m.network(), col)
+          .dump_string());
+  const Json& series = *run.find("epoch_series");
+  const std::vector<EpochRow>& rows = col.epochs();
+  ASSERT_EQ(series.size(), rows.size());
+  ASSERT_EQ(rows.size(), m.epochs_completed() + 1);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Json& e = series.at(i);
+    EXPECT_EQ(e.find("epoch")->as_u64(), rows[i].epoch) << i;
+    EXPECT_EQ(e.find("end_vt")->as_u64(), rows[i].end_vt) << i;
+    EXPECT_EQ(e.find("misses")->as_u64(), rows[i].misses) << i;
+    EXPECT_EQ(e.find("traps")->as_u64(), rows[i].traps) << i;
+    EXPECT_EQ(e.find("messages")->as_u64(), rows[i].messages) << i;
+    EXPECT_EQ(e.find("stall_cycles")->as_u64(), rows[i].stall_cycles) << i;
+    const Json& hot = *e.find("hot_blocks");
+    ASSERT_EQ(hot.size(), rows[i].hot_blocks.size()) << i;
+    EXPECT_LE(hot.size(), col.top_k());
+    for (std::size_t k = 0; k < hot.size(); ++k) {
+      EXPECT_EQ(hot.at(k).find("block")->as_u64(),
+                rows[i].hot_blocks[k].first);
+      EXPECT_EQ(hot.at(k).find("traps")->as_u64(),
+                rows[i].hot_blocks[k].second);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Apps, ReportEquiv,
@@ -242,6 +236,47 @@ TEST(ReportSchema, EpochSeriesSumsToRunTotals) {
   EXPECT_EQ(last_end, m.exec_time());
 }
 
+/// The epoch_series of a run_json over `col`, read back through its dump,
+/// plus the whole report's bytes.
+std::pair<Json, std::string> series_of(sim::Machine& m,
+                                       const Collector& col) {
+  std::vector<Json> runs;
+  runs.push_back(run_json("run", m.exec_time(), m.epochs_completed(),
+                          m.stats(), m.network(), col));
+  const std::string report =
+      make_report("run", config_json(m.config(), "dir1sw", ""),
+                  std::move(runs))
+          .dump_string();
+  const Json back = Json::parse(report);
+  return {*back.find("runs")->at(0).find("epoch_series"), report};
+}
+
+TEST(ReportSchema, BarrierFreeRunHasOneRowSeries) {
+  // No barrier: the run's tail is its only epoch, one row long.
+  sim::Machine m(report_cfg(AppKind::MatMul));
+  Collector col;
+  m.set_observer(&col);
+  m.run([](sim::Proc&) {});
+  ASSERT_EQ(m.epochs_completed(), 0u);
+  const auto [series, report] = series_of(m, col);
+  ASSERT_EQ(series.size(), 1u);
+  EXPECT_EQ(series.at(0).find("epoch")->as_u64(), 0u);
+  EXPECT_EQ(series.at(0).find("end_vt")->as_u64(), m.exec_time());
+  EXPECT_EQ(series.at(0).find("hot_blocks")->size(), 0u);
+  EXPECT_EQ(Json::parse(report).dump_string(), report);
+}
+
+TEST(ReportSchema, UnobservedRunHasEmptySeries) {
+  // A collector that saw no run renders the series as a plain `[]`.
+  sim::Machine m(report_cfg(AppKind::MatMul));
+  const Collector col;
+  const auto [series, report] = series_of(m, col);
+  EXPECT_EQ(series.type(), Json::Type::Array);
+  EXPECT_EQ(series.size(), 0u);
+  EXPECT_NE(report.find("\"epoch_series\": [],\n"), std::string::npos);
+  EXPECT_EQ(Json::parse(report).dump_string(), report);
+}
+
 TEST(ReportSchema, HotBlocksSortedByCountThenBlock) {
   const sim::SimConfig cfg = report_cfg(AppKind::MatMul);
   sim::Machine m(cfg);
@@ -274,6 +309,39 @@ TEST(JsonModel, ScalarsAndEscapes) {
   EXPECT_EQ(back.dump_string(), text);
   EXPECT_EQ(back.find("s")->as_string(), "a\"b\\c\n\t");
   EXPECT_EQ(back.find("n")->as_u64(), 18446744073709551615ULL);
+}
+
+TEST(JsonModel, RenderedArrayDumpsLikePlainArrayAtAnyDepth) {
+  const auto element = [](int i) {
+    Json e = Json::object();
+    e.set("i", Json::number(std::uint64_t(i)));
+    Json inner = Json::array();
+    for (int k = 0; k < i; ++k) inner.push_back(Json::string("s\n" + std::to_string(k)));
+    e.set("inner", std::move(inner));
+    e.set("empty", Json::object());
+    return e;
+  };
+  for (int n : {0, 1, 3}) {
+    Json plain = Json::array();
+    Json rendered = Json::rendered_array();
+    for (int i = 0; i < n; ++i) {
+      plain.push_back(element(i));
+      rendered.push_back(element(i));
+    }
+    EXPECT_EQ(rendered.type(), Json::Type::Rendered);
+    EXPECT_EQ(rendered.dump_string(), plain.dump_string()) << n;
+    // Nested two levels down, as a report's epoch_series sits deeper still.
+    Json a = Json::object();
+    Json b = Json::object();
+    a.set("x", std::move(plain));
+    b.set("x", std::move(rendered));
+    Json wa = Json::array();
+    Json wb = Json::array();
+    wa.push_back(std::move(a));
+    wb.push_back(std::move(b));
+    EXPECT_EQ(wb.dump_string(), wa.dump_string()) << n;
+    EXPECT_EQ(Json::parse(wb.dump_string()).dump_string(), wb.dump_string());
+  }
 }
 
 TEST(JsonModel, ParseErrorsCarryPosition) {

@@ -369,6 +369,28 @@ TEST(FormatV2HostileTest, RejectsRegularFlagAboveOne) {
                      "regular flag");
 }
 
+/// A complete, chunk-free stream (K = 1) whose two region labels overlap:
+/// every field is well formed, only the labels' cross-check fails.
+std::string v2_overlapping_labels() {
+  const std::string a = enc(1) + "A" + enc(0x1000) + enc(256) + enc(0);
+  const std::string b = enc(1) + "B" + enc(0x1080) + enc(64) + enc(0);
+  return v2_header(enc(2) + enc(1) + enc(2) + a + b) + '\x00' + enc(0) +
+         enc(0) + enc(0);
+}
+
+TEST(FormatV2HostileTest, SplitAndLoadRefuseOverlappingLabels) {
+  // split_v2 (the store's parse) and load_v2 share one decoder, so both
+  // refuse what the text loader refuses.
+  const std::string bytes = v2_overlapping_labels();
+  expect_trace_error(bytes, "trace: overlapping region labels 'A' and 'B'");
+  try {
+    (void)split_v2(bytes);
+    FAIL() << "split_v2 accepted overlapping labels";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "trace: overlapping region labels 'A' and 'B'");
+  }
+}
+
 // --- object store -----------------------------------------------------------
 
 TEST(ObjectStoreTest, ConcurrentAtomicWritesOfOnePathNeverMix) {
@@ -462,6 +484,20 @@ TEST(ObjectStoreTest, NormalizesTracesToV2AndGetReproduces) {
   EXPECT_EQ(st2.kind, ArtifactKind::TraceV2);
   EXPECT_EQ(st2.objects_new, 0u);
   EXPECT_EQ(s.get("run1-v2"), stored);
+}
+
+TEST(ObjectStoreTest, PutRefusesV2WithOverlappingLabels) {
+  // load_v2 would refuse this artifact later, so the put must refuse it
+  // now and store no manifest under the name.
+  TempDir tmp;
+  ObjectStore s(tmp.sub("st"));
+  try {
+    (void)s.put("bad", v2_overlapping_labels());
+    FAIL() << "put stored a v2 trace with overlapping labels";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "trace: overlapping region labels 'A' and 'B'");
+  }
+  EXPECT_TRUE(s.ls().empty());
 }
 
 TEST(ObjectStoreTest, V1BinaryTraceIsAnOpaqueBlob) {

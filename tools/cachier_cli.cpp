@@ -18,8 +18,7 @@
 //              text trace and re-emits it canonically
 // run / compare also take `--report f` (versioned JSON run report) and
 // `--events f` (Chrome trace-event export), both pure functions of
-// simulated state (docs/observability.md); `--stream-epochs` streams the
-// report's epoch rows through a sidecar so its memory stays O(1).
+// simulated state (docs/observability.md).
 //
 // Every program command parses into a daemon::JobRequest and runs through
 // daemon::run_job (src/cico/daemon/job.hpp) -- in-process by default, or
@@ -29,8 +28,8 @@
 // name, so daemon output is byte-identical to a one-shot run, cached or
 // fresh.  The client streams status lines to stderr, honors
 // `--deadline-ms`, and retries a busy or not-yet-listening daemon with
-// backoff.  `--stream-epochs` and `trace --load` name client-local files
-// and run in-process only.
+// backoff.  `trace --load` names a client-local file and runs in-process
+// only.
 //
 // Local commands: `soak` (seeded fault campaigns over the bundled apps,
 // each run twice to check determinism; failing campaigns leave a repro
@@ -91,7 +90,6 @@ struct Options {
   std::uint64_t seed = 1;       ///< soak base seed
   std::string report_file;      ///< run/compare --report <file>
   std::string events_file;      ///< run/compare --events <file>
-  bool stream_epochs = false;   ///< stream epoch_series rows to a sidecar
   std::string trace_load;       ///< trace --load <file>
   std::string tolerances_file;  ///< diff --tolerances <file>
   std::vector<std::string> tol_flags;  ///< diff --tol pattern=spec
@@ -107,7 +105,6 @@ void usage() {
       "               [-n nodes] [--mode programmer|performance]\n"
       "               [--plan file] [--faults spec] [--paranoid]\n"
       "               [--report out.json] [--events out.json]\n"
-      "               [--stream-epochs]\n"
       "               [--daemon sock] [--deadline-ms N]\n"
       "       cachier annotate --static prog.mp [-n nodes] [--mode ...]\n"
       "               [--prefetch]   (trace-free planning)\n"
@@ -476,8 +473,7 @@ daemon::JobRequest make_request(const Options& opt) {
 }
 
 /// Writes a result payload to the file its flag names, or throws (maps
-/// to exit 2).  Nothing when the job produced none, e.g. a streamed
-/// report that is already on disk.
+/// to exit 2).  Nothing when the job produced none (it failed).
 void write_payload(const std::string& path, const std::string& bytes) {
   if (path.empty() || bytes.empty()) return;
   std::ofstream out(path);
@@ -489,8 +485,7 @@ int do_job(const Options& opt) {
   const daemon::JobRequest req = make_request(opt);
   daemon::JobResult res;
   if (opt.daemon_sock.empty()) {
-    res = daemon::run_job(req, nullptr,
-                          opt.stream_epochs ? opt.report_file : std::string{});
+    res = daemon::run_job(req);
     for (const std::string& d : res.diags) std::fputs(d.c_str(), stderr);
   } else {
     daemon::ClientOptions copt;
@@ -572,8 +567,6 @@ int parse_args(int argc, char** argv, Options& opt) {
       opt.report_file = argv[++i];
     } else if (arg == "--events" && i + 1 < argc) {
       opt.events_file = argv[++i];
-    } else if (arg == "--stream-epochs") {
-      opt.stream_epochs = true;
     } else if (arg == "--tolerances" && i + 1 < argc) {
       opt.tolerances_file = argv[++i];
     } else if (arg == "--tol" && i + 1 < argc) {
@@ -621,13 +614,11 @@ int parse_args(int argc, char** argv, Options& opt) {
   const bool needs_file =
       opt.command != "soak" && opt.command != "version" &&
       !(opt.command == "trace" && !opt.trace_load.empty());
-  // Daemon mode serves every program command.  Only the two flags that
-  // name client-local files stay local: epoch streaming writes sidecars
-  // while the run is going, and trace --load reads a local trace.
+  // Daemon mode serves every program command.  Only trace --load stays
+  // local: it names a client-local trace file.
   const bool daemon_ok =
       opt.daemon_sock.empty() ||
-      (daemon::known_command(opt.command) && !opt.stream_epochs &&
-       opt.trace_load.empty());
+      (daemon::known_command(opt.command) && opt.trace_load.empty());
   // store's positional grammar: put/get take <dir> <arg>; ls/gc take <dir>.
   const bool store_ok =
       opt.command != "store" ||
@@ -639,8 +630,7 @@ int parse_args(int argc, char** argv, Options& opt) {
       (opt.command == "soak" && opt.campaigns == 0) ||
       (opt.command == "diff" && opt.file2.empty()) ||
       (opt.command == "sync" && opt.file2.empty()) || !store_ok ||
-      // Streaming only makes sense while a report is being written.
-      (opt.stream_epochs && opt.report_file.empty()) || !daemon_ok ||
+      !daemon_ok ||
       (opt.cfg.static_mode && opt.command != "annotate") ||
       (opt.cfg.fix && opt.command != "lint") ||
       (opt.cfg.prefetch && !opt.cfg.static_mode) ||
